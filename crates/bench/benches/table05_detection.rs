@@ -24,7 +24,7 @@ fn row(table: &mut Table, training: &str, name: &str, m: &DetectionMetrics) {
         format!("{:.2}", m.fpr),
         format!("{:.2}", m.tpr),
         format!("{:.2}", m.roc_auc),
-        format!("{:.2}", m.precision),
+        m.precision.map_or("n/a".into(), |p| format!("{p:.2}")),
         sev[3].clone(),
         sev[2].clone(),
         sev[1].clone(),

@@ -41,7 +41,9 @@ fn main() {
                 engine.name.clone(),
                 format!("{:.2}", eval.metrics.fpr),
                 format!("{:.2}", eval.metrics.tpr),
-                format!("{:.2}", eval.metrics.precision),
+                eval.metrics
+                    .precision
+                    .map_or("n/a".into(), |p| format!("{p:.2}")),
                 sev[3].clone(),
                 sev[2].clone(),
                 sev[1].clone(),

@@ -518,7 +518,7 @@ fn metrics_json(m: &Option<&DetectionMetrics>) -> String {
          \"positives\": {}, \"negatives\": {}}}",
         json_f(m.tpr),
         json_f(m.fpr),
-        json_f(m.precision),
+        m.precision.map_or("null".into(), json_f),
         json_f(m.roc_auc),
         m.positives,
         m.negatives,
@@ -559,18 +559,18 @@ fn render_table(reports: &[FamilyReport]) -> String {
         "Latency (probes)",
     ]);
     for r in reports {
-        let m = |f: fn(&DetectionMetrics) -> f64| match &r.metrics {
-            Some(m) => format!("{:.2}", f(m)),
+        let m = |f: fn(&DetectionMetrics) -> Option<f64>| match &r.metrics {
+            Some(m) => f(m).map_or("n/a".into(), |v| format!("{v:.2}")),
             None => "-".into(),
         };
         table.row(vec![
             r.name.to_string(),
             r.simulator.to_string(),
             r.variants.len().to_string(),
-            m(|m| m.tpr),
-            m(|m| m.fpr),
+            m(|m| Some(m.tpr)),
+            m(|m| Some(m.fpr)),
             m(|m| m.precision),
-            m(|m| m.roc_auc),
+            m(|m| Some(m.roc_auc)),
             match r.latency {
                 Some(k) => k.to_string(),
                 None => "never".into(),

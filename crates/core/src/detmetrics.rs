@@ -25,8 +25,9 @@ pub struct DetectionMetrics {
     pub fpr: f64,
     /// True-positive rate (recall) `TP / P`.
     pub tpr: f64,
-    /// Precision `TP / (TP + FP)` (1.0 when nothing is flagged).
-    pub precision: f64,
+    /// Precision `TP / (TP + FP)`; `None` when nothing is flagged, since
+    /// a detector that never answers "bug" has no precision to report.
+    pub precision: Option<f64>,
     /// Area under the ROC curve over the scores.
     pub roc_auc: f64,
     /// TPR restricted to each severity bucket (order of
@@ -60,11 +61,7 @@ impl DetectionMetrics {
         } else {
             0.0
         };
-        let precision = if tp + fp > 0 {
-            tp as f64 / (tp + fp) as f64
-        } else {
-            1.0
-        };
+        let precision = (tp + fp > 0).then(|| tp as f64 / (tp + fp) as f64);
         let scores: Vec<f64> = decisions.iter().map(|d| d.score).collect();
         let labels: Vec<bool> = decisions.iter().map(|d| d.has_bug).collect();
         let auc = roc_auc(&scores, &labels);
@@ -123,7 +120,7 @@ mod tests {
         let m = DetectionMetrics::from_decisions(&decisions);
         assert_eq!(m.tpr, 1.0);
         assert_eq!(m.fpr, 0.0);
-        assert_eq!(m.precision, 1.0);
+        assert_eq!(m.precision, Some(1.0));
         assert_eq!(m.roc_auc, 1.0);
         assert_eq!(m.tpr_by_severity[3], Some(1.0)); // High
         assert_eq!(m.tpr_by_severity[0], None); // no Very-Low samples
@@ -142,19 +139,19 @@ mod tests {
         let m = DetectionMetrics::from_decisions(&decisions);
         assert!((m.tpr - 0.5).abs() < 1e-12);
         assert!((m.fpr - 0.5).abs() < 1e-12);
-        assert!((m.precision - 0.5).abs() < 1e-12);
+        assert!((m.precision.expect("two flagged") - 0.5).abs() < 1e-12);
         assert_eq!(m.tpr_by_severity[0], Some(0.0));
         assert_eq!(m.tpr_by_severity[3], Some(1.0));
     }
 
     #[test]
-    fn nothing_flagged_has_unit_precision() {
+    fn nothing_flagged_has_no_precision() {
         let decisions = vec![
             d(0.1, false, true, Some(Severity::Low)),
             d(0.0, false, false, None),
         ];
         let m = DetectionMetrics::from_decisions(&decisions);
-        assert_eq!(m.precision, 1.0);
+        assert_eq!(m.precision, None);
         assert_eq!(m.tpr, 0.0);
     }
 

@@ -87,8 +87,13 @@ proptest! {
             })
             .collect();
         let m = DetectionMetrics::from_decisions(&decisions);
-        for v in [m.tpr, m.fpr, m.precision, m.roc_auc] {
+        for v in [m.tpr, m.fpr, m.roc_auc] {
             prop_assert!((0.0..=1.0).contains(&v));
+        }
+        let flagged = decisions.iter().any(|d| d.flagged);
+        prop_assert_eq!(m.precision.is_some(), flagged);
+        if let Some(p) = m.precision {
+            prop_assert!((0.0..=1.0).contains(&p));
         }
         prop_assert_eq!(m.positives + m.negatives, n);
     }

@@ -11,8 +11,10 @@ pub const LINE_BYTES: u32 = 64;
 pub struct Cache {
     sets: u32,
     ways: u32,
-    /// `tags[set * ways + way]` — tag value, `u64::MAX` = invalid.
-    tags: Vec<u64>,
+    /// `tags[set * ways + way]` — tag value, `u32::MAX` = invalid. A tag
+    /// is `addr / LINE_BYTES / sets` of a 32-bit address, so it never
+    /// reaches the sentinel.
+    tags: Vec<u32>,
     /// Per-line LRU age: lower = more recently used.
     ages: Vec<u32>,
     /// Hit latency in cycles.
@@ -31,7 +33,7 @@ impl Cache {
         Cache {
             sets,
             ways,
-            tags: vec![u64::MAX; (sets * ways) as usize],
+            tags: vec![u32::MAX; (sets * ways) as usize],
             ages: vec![0; (sets * ways) as usize],
             latency: cfg.latency,
         }
@@ -47,9 +49,9 @@ impl Cache {
         self.latency
     }
 
-    fn index(&self, addr: u32) -> (u32, u64) {
+    fn index(&self, addr: u32) -> (u32, u32) {
         let line = addr / LINE_BYTES;
-        (line % self.sets, (line / self.sets) as u64)
+        (line % self.sets, line / self.sets)
     }
 
     /// Looks up `addr`; on miss the line is filled (evicting LRU). Returns
@@ -66,7 +68,7 @@ impl Cache {
                 let ages = &self.ages[base..base + self.ways as usize];
                 let victim = slots
                     .iter()
-                    .position(|&t| t == u64::MAX)
+                    .position(|&t| t == u32::MAX)
                     .unwrap_or_else(|| {
                         ages.iter()
                             .enumerate()

@@ -2,6 +2,10 @@
 
 use perfbug_workloads::FuClass;
 
+/// Most issue ports a design may have: the scheduler tracks the ports
+/// used in a cycle as one `u64` bitmask.
+pub const MAX_PORTS: usize = 64;
+
 /// Geometry and latency of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -182,7 +186,8 @@ impl MicroarchConfig {
     /// # Panics
     ///
     /// Panics when a structural invariant is violated (zero width, no
-    /// ports, missing load/store port, ROB smaller than width, …).
+    /// ports or more than [`MAX_PORTS`], missing load/store port, ROB
+    /// smaller than width, …).
     pub fn validate(&self) {
         assert!(self.width >= 1, "{}: width must be >= 1", self.name);
         assert!(
@@ -194,6 +199,11 @@ impl MicroarchConfig {
         assert!(
             !self.ports.is_empty(),
             "{}: needs at least one port",
+            self.name
+        );
+        assert!(
+            self.ports.len() <= MAX_PORTS,
+            "{}: at most {MAX_PORTS} ports are supported",
             self.name
         );
         let has = |fu: FuClass| self.ports.iter().any(|p| p.contains(&fu));
@@ -245,6 +255,15 @@ mod tests {
     fn validate_rejects_zero_width() {
         let mut cfg = presets::skylake();
         cfg.width = 0;
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 ports")]
+    fn validate_rejects_more_ports_than_the_issue_mask() {
+        let mut cfg = presets::skylake();
+        let port = cfg.ports[0].clone();
+        cfg.ports.resize(MAX_PORTS + 1, port);
         cfg.validate();
     }
 }

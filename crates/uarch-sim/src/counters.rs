@@ -191,6 +191,16 @@ impl CounterFile {
         self.vals[c as usize]
     }
 
+    /// Adds `times` further repetitions of the change since `since`: every
+    /// counter grows by `times × (current − since)`. The pipeline uses it to
+    /// fast-forward idle cycles, whose counter deltas repeat exactly.
+    #[inline]
+    pub fn repeat_since(&mut self, since: &Snapshot, times: u64) {
+        for (v, old) in self.vals.iter_mut().zip(&since.vals) {
+            *v += (*v - old) * times;
+        }
+    }
+
     /// Captures the current totals as a step-boundary [`Snapshot`].
     #[inline]
     pub fn snapshot(&self) -> Snapshot {
@@ -263,6 +273,20 @@ mod tests {
         assert_eq!(row[Counter::CommittedInsts as usize], 20.0);
         // branch_frac = 5 / 20.
         assert!((row[N_RAW] - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn repeat_since_adds_whole_deltas() {
+        let mut c = CounterFile::new();
+        c.add(Counter::Cycles, 7);
+        c.add(Counter::RobOccupancySum, 40);
+        let since = c.snapshot();
+        c.inc(Counter::Cycles);
+        c.add(Counter::RobOccupancySum, 5);
+        c.repeat_since(&since, 3);
+        assert_eq!(c.get(Counter::Cycles), 7 + 4);
+        assert_eq!(c.get(Counter::RobOccupancySum), 40 + 4 * 5);
+        assert_eq!(c.get(Counter::CommittedInsts), 0);
     }
 
     #[test]

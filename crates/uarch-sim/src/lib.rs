@@ -11,8 +11,13 @@
 //! counters are sampled every time step, producing the per-probe feature
 //! time series consumed by the stage-1 IPC models.
 //!
-//! All fourteen core bug types of §IV-C are injectable via [`BugSpec`];
+//! The fourteen core bug types of §IV-C plus extension families 15 (data
+//! TLB page walk) and 16 (issue replay) are injectable via [`BugSpec`];
 //! each is a pure timing defect parameterised for arbitrary severity.
+//!
+//! The pipeline skips idle cycles in bulk: after a cycle in which no stage
+//! changed state, it jumps to the next event and adds the repeated counter
+//! deltas at once. Output is bit-identical to stepping every cycle.
 //!
 //! ```
 //! use perfbug_uarch::{presets, simulate};

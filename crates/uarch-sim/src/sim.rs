@@ -5,8 +5,16 @@
 //! and an L1I, rename with a finite physical register file, an issue queue
 //! scheduled oldest-first onto Table III port/functional-unit pools, a
 //! load/store path through a three-level cache hierarchy, and in-order
-//! commit from a re-order buffer. All fourteen bug types of §IV-C hook
-//! into this loop.
+//! commit from a re-order buffer. The fourteen bug types of §IV-C and
+//! extension families 15 (TLB page walk) and 16 (issue replay) hook into
+//! this loop.
+//!
+//! Time advances event to event rather than strictly cycle by cycle: after
+//! a cycle in which no stage changed state, every cycle up to the next
+//! event would repeat that cycle's counter deltas exactly, so
+//! `Pipeline::run` adds them in bulk and jumps ahead (see
+//! `docs/ARCHITECTURE.md`, "Event-skipping time model"). The output is
+//! bit-identical to stepping every cycle.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -16,7 +24,7 @@ use crate::branch::BranchPredictor;
 use crate::bugs::BugSpec;
 use crate::cache::{AccessOutcome, Hierarchy, LINE_BYTES};
 use crate::config::MicroarchConfig;
-use crate::counters::{Counter, CounterFile, N_COUNTERS};
+use crate::counters::{Counter, CounterFile, Snapshot, N_COUNTERS};
 
 /// Pipeline depth between fetch and rename, in cycles.
 const DECODE_LATENCY: u64 = 3;
@@ -171,6 +179,9 @@ struct Pipeline<'c> {
     dtlb: Option<(Vec<u64>, u32)>,
     /// Bug 16: issue grants observed so far (squashed grants included).
     issue_grants: u64,
+    /// Skip idle cycles in bulk. Only the reference stepper of the
+    /// equivalence tests turns this off.
+    fast_forward: bool,
 }
 
 impl<'c> Pipeline<'c> {
@@ -220,10 +231,13 @@ impl<'c> Pipeline<'c> {
             mispredict_extra,
             dtlb,
             issue_grants: 0,
+            fast_forward: true,
         }
     }
 
-    fn run(mut self, trace: &[Inst], step_cycles: u64, out: &mut ProbeRun) {
+    /// Simulates `trace` into `out` and returns the number of cycles that
+    /// were stepped one by one (the rest were skipped as idle).
+    fn run(mut self, trace: &[Inst], step_cycles: u64, out: &mut ProbeRun) -> u64 {
         // Delta snapshots are plain value copies of the raw counter array;
         // sampled rows are appended straight into the output's
         // preallocated row matrix — the per-step path allocates nothing
@@ -232,9 +246,13 @@ impl<'c> Pipeline<'c> {
         let mut last_sample_cycle = 0u64;
         // Generous watchdog: no healthy or buggy configuration comes close.
         let max_cycles = 400 * trace.len() as u64 + 1_000_000;
+        let mut stepped = 0u64;
 
         while self.fetch_pos < trace.len() || !self.rob.is_empty() || !self.decode_pipe.is_empty() {
+            let before = self.counters.snapshot();
+            let grants_before = self.issue_grants;
             self.cycle += 1;
+            stepped += 1;
             self.counters.inc(Counter::Cycles);
             self.commit();
             self.issue();
@@ -261,6 +279,19 @@ impl<'c> Pipeline<'c> {
                 self.cycle,
                 self.bug
             );
+            if self.fast_forward && self.was_idle(&before, grants_before) {
+                // Every cycle before the next event repeats this one. Sample
+                // boundaries and the watchdog's cycle are always stepped.
+                let until = self
+                    .next_event(trace.len())
+                    .min(last_sample_cycle + step_cycles)
+                    .min(max_cycles)
+                    - 1;
+                if until > self.cycle {
+                    self.counters.repeat_since(&before, until - self.cycle);
+                    self.cycle = until;
+                }
+            }
         }
         // Keep a trailing partial step if it covers at least half a step.
         let leftover = self.cycle - last_sample_cycle;
@@ -273,6 +304,65 @@ impl<'c> Pipeline<'c> {
         }
         out.total_cycles = self.cycle;
         out.total_insts = self.counters.get(Counter::CommittedInsts);
+        stepped
+    }
+
+    // ---- event skipping --------------------------------------------------
+
+    /// Whether the cycle just stepped changed no pipeline state: nothing
+    /// committed, issued, renamed or fetched, no I-cache access, and no
+    /// squashed issue grant (bug 16 changes state without issuing).
+    fn was_idle(&self, before: &Snapshot, grants_before: u64) -> bool {
+        let unchanged = |c: Counter| self.counters.get(c) == before.get(c);
+        unchanged(Counter::CommittedInsts)
+            && unchanged(Counter::IssuedInsts)
+            && unchanged(Counter::RenamedInsts)
+            && unchanged(Counter::FetchedInsts)
+            && unchanged(Counter::IcacheAccesses)
+            && self.issue_grants == grants_before
+    }
+
+    /// The earliest cycle after the current one at which some stage's
+    /// behaviour can differ from an idle cycle's without another stage
+    /// acting first (`u64::MAX` if none).
+    fn next_event(&self, trace_len: usize) -> u64 {
+        let now = self.cycle;
+        let mut next = u64::MAX;
+        let mut consider = |t: u64| {
+            if t > now && t < next {
+                next = t;
+            }
+        };
+        // Commit: the head completes.
+        if let Some(head) = self.rob.front().filter(|s| s.issued) {
+            consider(head.complete_at);
+        }
+        // Issue: an entry's delay expires or one of its producers completes.
+        for &seq in &self.iq {
+            let slot = &self.rob[(seq - self.head_seq) as usize];
+            consider(slot.min_issue);
+            for &d in &slot.deps {
+                if d != NO_DEP && d >= self.head_seq {
+                    let producer = &self.rob[(d - self.head_seq) as usize];
+                    if producer.issued {
+                        consider(producer.complete_at);
+                    }
+                }
+            }
+        }
+        // Issue: a non-pipelined divider frees its port.
+        for &t in &self.div_busy_until {
+            consider(t);
+        }
+        // Rename: the oldest decoded instruction leaves the decode pipe.
+        if let Some(&(ready_at, ..)) = self.decode_pipe.front() {
+            consider(ready_at);
+        }
+        // Fetch: a refill or redirect penalty ends.
+        if self.fetch_pos < trace_len {
+            consider(self.fetch_resume_at);
+        }
+        next
     }
 
     // ---- commit ----------------------------------------------------------
@@ -346,11 +436,11 @@ impl<'c> Pipeline<'c> {
 
     /// Finds a free port able to execute `op`, honouring the non-pipelined
     /// divider.
-    fn allocate_port(&self, op: Opcode, port_used: &[bool]) -> Option<usize> {
+    fn allocate_port(&self, op: Opcode, port_used: u64) -> Option<usize> {
         let needs_div = matches!(op, Opcode::Div | Opcode::FpDiv);
         for fu in Self::acceptable_fus(op) {
             for (p, pool) in self.cfg.ports.iter().enumerate() {
-                if port_used[p] || !pool.contains(fu) {
+                if port_used & (1 << p) != 0 || !pool.contains(fu) {
                     continue;
                 }
                 if needs_div && *fu == FuClass::Divider && self.div_busy_until[p] > self.cycle {
@@ -394,7 +484,9 @@ impl<'c> Pipeline<'c> {
     }
 
     fn issue(&mut self) {
-        let mut port_used = vec![false; self.cfg.ports.len()];
+        // Bit p set: port p was granted this cycle (validate() caps the
+        // port count at the mask width).
+        let mut port_used = 0u64;
         let mut issued = 0u32;
 
         // The IQ list holds the seq numbers of unissued instructions in
@@ -411,7 +503,6 @@ impl<'c> Pipeline<'c> {
             (Some(BugSpec::IfOldestIssueOnlyX { x }), Some((_, op))) if op == x
         );
 
-        let mut issued_seqs: Vec<u64> = Vec::new();
         for iq_pos in 0..self.iq.len() {
             if issued >= self.cfg.width {
                 break;
@@ -438,13 +529,13 @@ impl<'c> Pipeline<'c> {
             }
             let ready = slot.min_issue <= self.cycle && self.deps_ready(slot);
             let port = if ready {
-                self.allocate_port(op, &port_used)
+                self.allocate_port(op, port_used)
             } else {
                 None
             };
             match port {
                 Some(p) => {
-                    port_used[p] = true;
+                    port_used |= 1 << p;
                     // Bug 16: every n-th issue grant is squashed; the
                     // instruction keeps its port for the cycle but replays
                     // t cycles later. Each instruction is squashed at most
@@ -461,7 +552,6 @@ impl<'c> Pipeline<'c> {
                         }
                     }
                     self.issue_slot(rob_idx, p);
-                    issued_seqs.push(seq);
                     issued += 1;
                 }
                 None => {
@@ -473,8 +563,11 @@ impl<'c> Pipeline<'c> {
                 }
             }
         }
-        if !issued_seqs.is_empty() {
-            self.iq.retain(|s| !issued_seqs.contains(s));
+        if issued > 0 {
+            // The IQ keeps exactly the entries still unissued (a squashed
+            // bug-16 grant stays queued).
+            let (rob, head_seq) = (&self.rob, self.head_seq);
+            self.iq.retain(|&s| !rob[(s - head_seq) as usize].issued);
         }
         if issued == 0 {
             self.counters.inc(Counter::IssueIdleCycles);
@@ -764,7 +857,8 @@ impl<'c> Pipeline<'c> {
 mod tests {
     use super::*;
     use crate::presets;
-    use perfbug_workloads::{benchmark, WorkloadScale};
+    use perfbug_workloads::{benchmark, WorkloadScale, ALL_OPCODES, NO_REG, NUM_ARCH_REGS};
+    use proptest::prelude::*;
 
     fn probe_trace() -> Vec<Inst> {
         let scale = WorkloadScale::tiny();
@@ -989,5 +1083,172 @@ mod tests {
         );
         // The retired stream is unchanged: same instruction count.
         assert_eq!(buggy.total_insts, healthy.total_insts);
+    }
+
+    /// [`simulate`] with idle-cycle fast-forward on or off; off is the
+    /// plain per-cycle reference stepper.
+    fn simulate_stepped(
+        cfg: &MicroarchConfig,
+        bug: Option<BugSpec>,
+        trace: &[Inst],
+        step_cycles: u64,
+        fast_forward: bool,
+    ) -> ProbeRun {
+        let mut run = ProbeRun::empty();
+        let mut pipeline = Pipeline::new(cfg, bug);
+        pipeline.fast_forward = fast_forward;
+        pipeline.run(trace, step_cycles, &mut run);
+        run
+    }
+
+    /// Decodes one random word into an instruction: every opcode, short
+    /// dependence chains, occasional far code (I-cache misses) and data
+    /// working sets from L1-resident to memory-bound.
+    fn random_inst(i: usize, r: u64) -> Inst {
+        let bits = |shift: u32, width: u32| (r >> shift) & ((1 << width) - 1);
+        let reg = |v: u64| {
+            if v >= NUM_ARCH_REGS as u64 {
+                NO_REG
+            } else {
+                v as u8
+            }
+        };
+        let pc = if bits(5, 4) == 0 {
+            0x0010_0000 + bits(9, 14) as u32 * 4
+        } else {
+            0x1000 + (i as u32 % 4096) * 4
+        };
+        let working_set = [4u32 << 10, 64 << 10, 1 << 20, 64 << 20][bits(23, 2) as usize];
+        let opcode = ALL_OPCODES[bits(0, 5) as usize % ALL_OPCODES.len()];
+        Inst {
+            pc,
+            mem_addr: 0x4000_0000 + ((bits(25, 32) as u32 % working_set) & !7),
+            target: pc.wrapping_add(bits(57, 6) as u32 * 4),
+            opcode,
+            size: 1 + (bits(63, 1) as u8) * 7 + (bits(20, 3) as u8),
+            src1: reg(bits(37, 6) % 40),
+            src2: reg(bits(43, 6) % 48),
+            dst: reg(bits(49, 6) % 36),
+            taken: bits(55, 1) == 1,
+        }
+    }
+
+    /// One variant of every bug family, parameters drawn from `r`.
+    fn every_family(r: u64) -> Vec<BugSpec> {
+        let bits = |shift: u32, width: u32| ((r >> shift) & ((1 << width) - 1)) as u32;
+        let op = |shift: u32| ALL_OPCODES[bits(shift, 5) as usize % ALL_OPCODES.len()];
+        let t = 1 + bits(0, 5);
+        let n = 1 + bits(5, 5);
+        vec![
+            BugSpec::SerializeOpcode { x: op(10) },
+            BugSpec::IssueOnlyIfOldest { x: op(15) },
+            BugSpec::IfOldestIssueOnlyX { x: op(20) },
+            BugSpec::DelayIfDependsOn {
+                x: op(25),
+                y: op(30),
+                t,
+            },
+            BugSpec::IqBelowDelay { n, t },
+            BugSpec::RobBelowDelay { n: 4 * n, t },
+            BugSpec::MispredictExtraDelay { t },
+            BugSpec::StoresToLineDelay { n, t },
+            BugSpec::WritesToRegDelay {
+                n,
+                t,
+                periodic: bits(35, 1) == 1,
+            },
+            BugSpec::L2ExtraLatency { t },
+            BugSpec::FewerPhysRegs { n: 8 * n },
+            BugSpec::LongBranchDelay {
+                bytes: bits(36, 3) as u8 + 1,
+                t,
+            },
+            BugSpec::OpcodeUsesRegDelay {
+                x: op(39),
+                r: bits(44, 4) as u8,
+                t,
+            },
+            BugSpec::BtbIndexMask {
+                lost_bits: bits(48, 3) + 1,
+            },
+            BugSpec::TlbPageWalkDelay { entries: n, t },
+            BugSpec::IssueReplayEveryN {
+                n: 1 + bits(51, 3),
+                t,
+            },
+        ]
+    }
+
+    /// Table II design `i`, or for `i == 20` a Skylake without FP units:
+    /// its FP divides can only use the non-pipelined divider, so a busy
+    /// divider is what holds them back.
+    fn design_or_divider_bound(i: usize) -> MicroarchConfig {
+        presets::all().get(i).cloned().unwrap_or_else(|| {
+            let mut cfg = presets::skylake();
+            cfg.name = "Skylake without FP units".into();
+            for port in &mut cfg.ports {
+                port.retain(|&fu| fu != FuClass::FpUnit);
+            }
+            cfg
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn fast_forward_matches_per_cycle_stepping(
+            words in prop::collection::vec(any::<u64>(), 50..600),
+            design in 0usize..21,
+            params in any::<u64>(),
+        ) {
+            let trace: Vec<Inst> = words
+                .iter()
+                .enumerate()
+                .map(|(i, &r)| random_inst(i, r))
+                .collect();
+            let cfg = &design_or_divider_bound(design);
+            let families = every_family(params);
+            let ids: Vec<u32> = families.iter().map(BugSpec::type_id).collect();
+            prop_assert_eq!(ids, (1..=16).collect::<Vec<u32>>());
+            let bugs = std::iter::once(None).chain(families.into_iter().map(Some));
+            for bug in bugs {
+                for step in [1, 7, 500, 1000] {
+                    let fast = simulate_stepped(cfg, bug, &trace, step, true);
+                    let reference = simulate_stepped(cfg, bug, &trace, step, false);
+                    let at = format!("{} / {bug:?} / step {step}", cfg.name);
+                    prop_assert_eq!(fast.total_cycles, reference.total_cycles, "{}", at);
+                    prop_assert_eq!(fast.total_insts, reference.total_insts, "{}", at);
+                    prop_assert_eq!(&fast.ipc, &reference.ipc, "{}", at);
+                    prop_assert_eq!(&fast.counter_rows, &reference.counter_rows, "{}", at);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fast_forward_skips_most_cycles_of_a_memory_bound_probe() {
+        // Dependent loads, each to a new line far apart: nearly every
+        // cycle waits on memory, so nearly every cycle is skipped.
+        let mut trace = Vec::new();
+        for i in 0..2_000u32 {
+            let mut ld = Inst::nop(0x1000 + (i % 64) * 4);
+            ld.opcode = Opcode::Load;
+            ld.mem_addr = 0x4000_0000 + i * 9 * 4096;
+            ld.dst = 1;
+            ld.src1 = 1;
+            trace.push(ld);
+        }
+        let cfg = presets::skylake();
+        let mut run = ProbeRun::empty();
+        let stepped = Pipeline::new(&cfg, None).run(&trace, 1000, &mut run);
+        let reference = simulate_stepped(&cfg, None, &trace, 1000, false);
+        assert_eq!(run.total_cycles, reference.total_cycles);
+        assert_eq!(run.counter_rows, reference.counter_rows);
+        assert!(
+            stepped * 10 < run.total_cycles,
+            "stepped {stepped} of {} cycles",
+            run.total_cycles
+        );
     }
 }

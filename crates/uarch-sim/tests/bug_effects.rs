@@ -1,6 +1,8 @@
 //! Per-type effect tests: every one of the fourteen §IV-C bug types must
 //! (a) leave the committed instruction stream intact (timing-only defect)
-//! and (b) cost cycles on a workload engineered to trigger it.
+//! and (b) cost cycles on a workload engineered to trigger it. Extension
+//! families 15 (data TLB page walk) and 16 (issue replay) have their
+//! effect tests next to the pipeline, in `src/sim.rs`.
 
 use perfbug_uarch::{presets, simulate, BugSpec, MicroarchConfig, ProbeRun};
 use perfbug_workloads::{Inst, Opcode, NO_REG};

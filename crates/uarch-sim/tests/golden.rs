@@ -1,0 +1,116 @@
+//! Pinned simulator output: one FNV-1a digest over every design of
+//! Table II × (no bug plus one variant of each of the 16 bug families) on
+//! the first tiny-scale probes of two benchmarks.
+//!
+//! The digest covers each run's total cycles, committed instructions, the
+//! bits of every per-step IPC value and every counter-row value. Config
+//! fingerprints, cached corpora and the benchmark's corpus digests all
+//! assume the simulator is bit-stable, so any timing-model change that
+//! moves a single cycle fails here first. A deliberate model change must
+//! update [`GOLDEN_DIGEST`] and say so in its change notes.
+
+use perfbug_uarch::{presets, simulate, BugSpec};
+use perfbug_workloads::{benchmark, Opcode, WorkloadScale};
+
+/// Digest of the simulator's output over the grid below, recorded on the
+/// per-cycle stepper before idle-cycle fast-forward was introduced.
+const GOLDEN_DIGEST: u64 = 0xf589_b7dd_2bf5_5d7d;
+
+/// Probes taken from the front of each benchmark's SimPoint list.
+const PROBES_PER_BENCHMARK: usize = 2;
+
+/// Sample period, the default `ProbeScale` step.
+const STEP_CYCLES: u64 = 1000;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv(mut h: u64, word: u64) -> u64 {
+    for b in word.to_le_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// One variant of each bug family, in type-id order.
+fn one_per_family() -> Vec<BugSpec> {
+    use BugSpec::*;
+    use Opcode::*;
+    vec![
+        SerializeOpcode { x: Sub },
+        IssueOnlyIfOldest { x: Xor },
+        IfOldestIssueOnlyX { x: Xor },
+        DelayIfDependsOn {
+            x: Add,
+            y: Load,
+            t: 12,
+        },
+        IqBelowDelay { n: 8, t: 6 },
+        RobBelowDelay { n: 16, t: 6 },
+        MispredictExtraDelay { t: 12 },
+        StoresToLineDelay { n: 4, t: 12 },
+        WritesToRegDelay {
+            n: 16,
+            t: 10,
+            periodic: false,
+        },
+        L2ExtraLatency { t: 8 },
+        FewerPhysRegs { n: 160 },
+        LongBranchDelay { bytes: 4, t: 10 },
+        OpcodeUsesRegDelay {
+            x: Add,
+            r: 0,
+            t: 10,
+        },
+        BtbIndexMask { lost_bits: 8 },
+        TlbPageWalkDelay { entries: 16, t: 30 },
+        IssueReplayEveryN { n: 8, t: 6 },
+    ]
+}
+
+#[test]
+fn simulator_output_matches_golden_digest() {
+    let families = one_per_family();
+    let ids: Vec<u32> = families.iter().map(BugSpec::type_id).collect();
+    assert_eq!(
+        ids,
+        (1..=16).collect::<Vec<u32>>(),
+        "one variant per family"
+    );
+    let bugs: Vec<Option<BugSpec>> = std::iter::once(None)
+        .chain(families.into_iter().map(Some))
+        .collect();
+
+    let scale = WorkloadScale::tiny();
+    let mut h = FNV_OFFSET;
+    let mut runs = 0usize;
+    for name in ["458.sjeng", "462.libquantum"] {
+        let spec = benchmark(name).expect("suite benchmark");
+        let program = spec.program(&scale);
+        for probe in spec.probes(&scale).iter().take(PROBES_PER_BENCHMARK) {
+            let trace = probe.trace(&program);
+            for cfg in presets::all() {
+                for &bug in &bugs {
+                    let run = simulate(&cfg, bug, &trace, STEP_CYCLES);
+                    h = fnv(h, run.total_cycles);
+                    h = fnv(h, run.total_insts);
+                    for &v in &run.ipc {
+                        h = fnv(h, v.to_bits());
+                    }
+                    for row in &run.counter_rows {
+                        for &v in row {
+                            h = fnv(h, v.to_bits());
+                        }
+                    }
+                    runs += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(runs, 20 * 17 * 2 * PROBES_PER_BENCHMARK, "grid size");
+    assert_eq!(
+        h, GOLDEN_DIGEST,
+        "simulator output changed: digest {h:#018x} over {runs} runs"
+    );
+}

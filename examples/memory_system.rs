@@ -33,8 +33,13 @@ fn main() {
 
     let eval = evaluate_two_stage(&col, 0, Stage2Params::default());
     println!(
-        "\nAMAT-based detection: TPR {:.3}  FPR {:.3}  precision {:.3}  AUC {:.3}",
-        eval.metrics.tpr, eval.metrics.fpr, eval.metrics.precision, eval.metrics.roc_auc
+        "\nAMAT-based detection: TPR {:.3}  FPR {:.3}  precision {}  AUC {:.3}",
+        eval.metrics.tpr,
+        eval.metrics.fpr,
+        eval.metrics
+            .precision
+            .map_or("n/a".into(), |p| format!("{p:.3}")),
+        eval.metrics.roc_auc
     );
 
     println!("\nper held-out memory bug type:");

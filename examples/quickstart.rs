@@ -42,8 +42,13 @@ fn main() {
     let eval = evaluate_two_stage(&collection, 0, Stage2Params::default());
     println!("\nleave-one-bug-type-out detection on Set IV:");
     println!(
-        "  TPR {:.3}  FPR {:.3}  precision {:.3}  ROC AUC {:.3}",
-        eval.metrics.tpr, eval.metrics.fpr, eval.metrics.precision, eval.metrics.roc_auc
+        "  TPR {:.3}  FPR {:.3}  precision {}  ROC AUC {:.3}",
+        eval.metrics.tpr,
+        eval.metrics.fpr,
+        eval.metrics
+            .precision
+            .map_or("n/a".into(), |p| format!("{p:.3}")),
+        eval.metrics.roc_auc
     );
     for fold in &eval.folds {
         let hits = fold
