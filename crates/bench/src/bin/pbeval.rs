@@ -26,7 +26,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use perfbug_bench::{collect_cached, collect_memory_cached};
+use perfbug_bench::collect_cached;
 use perfbug_core::bugs::{BugCatalog, MemBugCatalog, Severity};
 use perfbug_core::detmetrics::{Decision, DetectionMetrics};
 use perfbug_core::experiment::{
@@ -34,7 +34,7 @@ use perfbug_core::experiment::{
 };
 use perfbug_core::fuzz::{Family, FuzzSpec, FuzzedCatalog};
 use perfbug_core::memory::{MemCollectionConfig, TargetMetric};
-use perfbug_core::report::Table;
+use perfbug_core::report::{json_str, Table};
 use perfbug_core::stage1::EngineSpec;
 use perfbug_core::stage2::Stage2Params;
 use perfbug_ml::GbtParams;
@@ -62,10 +62,10 @@ usage: pbeval [--seed <u64>] [--families <name,...|all>] [--count <n>]
 
 The leave-one-bug-type-out protocol needs at least two families per
 simulator side; requesting a lone core (or memory) family is an error.
-Collection honours PERFBUG_CACHE_DIR, PERFBUG_SHARD and the
-orchestrator knobs (PERFBUG_ORCH_WORKERS et al.). When PERFBUG_CACHE_DIR
-is set and PERFBUG_TRACE_DIR is not, traces are cached under
-<cache-dir>/traces so every fuzzed corpus replays the same traces.";
+Collection honours PERFBUG_CACHE_DIR and the orchestrator knobs
+(PERFBUG_ORCH_WORKERS et al.). When PERFBUG_CACHE_DIR is set and
+PERFBUG_TRACE_DIR is not, traces are cached under <cache-dir>/traces so
+every fuzzed corpus replays the same traces.";
 
 /// The post-paper families added on top of the paper's Table III types —
 /// the default corpus `pbeval` exercises.
@@ -299,7 +299,7 @@ fn evaluate(opts: &Options) -> Result<(), String> {
             mem.variants().len(),
             mem.type_ids().len()
         );
-        let col = collect_memory_cached("pbeval-mem", &mem_config(mem));
+        let col = collect_cached("pbeval-mem", &mem_config(mem));
         let (fams, pooled) = eval_side(&col, Side::Mem, &catalog, params);
         reports.extend(fams);
         overall_mem = Some(pooled);
@@ -468,9 +468,9 @@ fn render_json(
         out.push_str("      \"variants\": [\n");
         for (j, (describe, severity, impact)) in r.variants.iter().enumerate() {
             out.push_str(&format!(
-                "        {{\"describe\": \"{}\", \"severity\": \"{severity:?}\", \
+                "        {{\"describe\": {}, \"severity\": \"{severity:?}\", \
                  \"impact\": {}}}{}\n",
-                json_escape(describe),
+                json_str(describe),
                 json_f(*impact),
                 comma(j, r.variants.len()),
             ));
@@ -532,19 +532,6 @@ fn json_f(v: f64) -> String {
     } else {
         "null".into()
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn render_table(reports: &[FamilyReport]) -> String {

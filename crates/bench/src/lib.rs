@@ -11,12 +11,11 @@
 //! # Orchestrated collection
 //!
 //! Setting `PERFBUG_ORCH_WORKERS=<n>` (with `PERFBUG_CACHE_DIR`) makes
-//! [`collect_cached`] / [`collect_memory_cached`] drive the whole
-//! collection through `perfbug_core::orchestrate`: the probe axis is
-//! split into more shards than workers (default `2n`,
-//! `PERFBUG_ORCH_SHARDS` overrides), `n` child processes — re-invocations
-//! of the current binary with `PERFBUG_SHARD=<i>/<m>` and
-//! `PERFBUG_SHARD_ONLY=1` — collect shards off a work queue with bounded
+//! [`collect_cached`] drive the whole collection through
+//! `perfbug_core::orchestrate`: the probe axis is split into more shards
+//! than workers (default `2n`, `PERFBUG_ORCH_SHARDS` overrides), `n`
+//! child processes — re-invocations of the current binary with
+//! `PERFBUG_SHARD=<i>/<m>` — collect shards off a work queue with bounded
 //! retry on worker loss, and the parent assembles the merged corpus and
 //! continues into evaluation. `pborch` (in `src/bin/pborch.rs`) is the
 //! standalone CLI for the same driver. See `docs/ARCHITECTURE.md`.
@@ -29,26 +28,15 @@
 //!
 //! Collection (simulate + train stage 1) dominates every target's runtime;
 //! evaluation is cheap. When `PERFBUG_CACHE_DIR` is set, [`collect_cached`]
-//! / [`collect_memory_cached`] persist each collection to
+//! persists each collection to
 //! `<dir>/<target>-<kind>-<config fingerprint>.pbcol` and later
 //! invocations replay it from disk without invoking the simulator. The
 //! experiment kind and the fingerprint are part of the file name, so
 //! changing the scale or configuration collects into a fresh file instead
 //! of tripping the stale-cache rejection, and core and memory experiments
-//! never collide in a shared cache directory.
-//!
-//! # Sharded collection
-//!
-//! Setting `PERFBUG_SHARD=<index>/<count>` turns a bench target into one
-//! shard worker of a `count`-process collection pass: it collects only its
-//! probe range, streams it into the shard file beside the full cache file
-//! — resuming a crashed predecessor's durable part-file prefix instead of
-//! re-collecting it — and then either assembles the full corpus (when
-//! every shard is on disk) and continues, or exits cleanly so the
-//! remaining shards can be run, possibly on other hosts sharing the cache
-//! directory. `pbcol merge` / `pbcol verify` (in `src/bin/pbcol.rs`) are
-//! the matching offline cache tools. See the README walkthrough and
-//! `docs/FORMAT.md`.
+//! never collide in a shared cache directory. `pbcol merge` /
+//! `pbcol verify` (in `src/bin/pbcol.rs`) are the matching offline cache
+//! tools; see `docs/FORMAT.md`.
 
 pub mod specs;
 
@@ -57,8 +45,9 @@ use std::time::Duration;
 
 use perfbug_core::bugs::BugCatalog;
 use perfbug_core::exec::ShardSpec;
-use perfbug_core::experiment::{collect, Collection, CollectionConfig, ProbeScale};
-use perfbug_core::memory::{collect_memory, MemCollectionConfig};
+use perfbug_core::experiment::{
+    collect, Collection, CollectionConfig, ExperimentConfig, ProbeScale,
+};
 use perfbug_core::orchestrate::{self, CollectPlan, Fault, OrchestratorConfig};
 use perfbug_core::persist::{self, CacheStatus, ExperimentKind, PersistError};
 use perfbug_core::stage1::EngineSpec;
@@ -134,7 +123,8 @@ pub fn cache_dir() -> Option<PathBuf> {
 
 /// Parses `PERFBUG_SHARD` (`<index>/<count>`, e.g. `0/4`) via
 /// [`ShardSpec::parse`] — the same grammar `pborch`'s `--shard` CLI
-/// argument uses. `None` when unset; a malformed value panics rather
+/// argument uses. The orchestrator sets it on the child workers of an
+/// orchestrated pass. `None` when unset; a malformed value panics rather
 /// than silently collecting the full grid.
 pub fn shard_from_env() -> Option<ShardSpec> {
     let raw = std::env::var("PERFBUG_SHARD").ok()?;
@@ -198,82 +188,43 @@ fn report(status: CacheStatus, path: &Path) {
     }
 }
 
-/// One shard worker's turn: collect (or replay) this process's shard file,
-/// then either assemble the full corpus from the shards on disk or exit
-/// cleanly, telling the operator which shards are still missing. Exiting
-/// (rather than returning a partial corpus) keeps every bench target's
+/// One orchestrated worker's turn: collect (or resume, or replay) this
+/// process's shard file. The supervisor owns assembly, so the worker then
+/// replays a pre-existing full corpus (letting multi-collection targets
+/// progress past already-orchestrated passes) or exits cleanly. Exiting
+/// rather than returning a partial corpus keeps every bench target's
 /// evaluation phase oblivious to sharding.
-///
-/// Under `PERFBUG_SHARD_ONLY=1` (set by the orchestrator for its child
-/// workers) the worker never assembles: the supervisor owns assembly, so
-/// after saving its shard the worker replays a pre-existing full corpus
-/// (letting multi-collection targets progress past already-orchestrated
-/// passes) or exits cleanly.
-fn run_shard_worker(
+fn run_shard_worker<C: ExperimentConfig>(
     dir: &Path,
     name: &str,
-    kind: ExperimentKind,
-    fingerprint: u64,
+    config: &C,
     shard: ShardSpec,
-    collect_shard: impl FnOnce(&Path) -> Result<persist::ShardOutcome, PersistError>,
 ) -> Collection {
+    std::fs::create_dir_all(dir)
+        .unwrap_or_else(|e| panic!("cannot create cache dir {}: {e}", dir.display()));
+    let fingerprint = config.fingerprint();
     let shard_path = dir.join(persist::shard_file_name(
         name,
-        kind,
+        C::KIND,
         fingerprint,
         shard.index,
         shard.count,
     ));
-    let outcome = collect_shard(&shard_path)
+    persist::collect_shard_or_resume(&shard_path, config, shard)
         .unwrap_or_else(|e| panic!("shard cache {}: {e}", shard_path.display()));
-    match outcome.status {
-        CacheStatus::Replayed => println!("  [shard] replayed {}", shard_path.display()),
-        _ if outcome.resumed_probes > 0 => println!(
-            "  [shard] collected and saved {} (resumed {} durable probe(s) \
-             from a crashed attempt's part file)",
-            shard_path.display(),
-            outcome.resumed_probes
-        ),
-        _ => println!("  [shard] collected and saved {}", shard_path.display()),
-    }
-    let full = dir.join(persist::cache_file_name(name, kind, fingerprint));
-    if std::env::var_os("PERFBUG_SHARD_ONLY").is_some() {
-        return match persist::load_collection(&full, fingerprint) {
-            Ok(col) => {
-                println!("  [shard] full corpus already assembled; replaying it");
-                col
-            }
-            Err(PersistError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                println!(
-                    "  [shard] {}/{} done (orchestrated worker; the supervisor assembles)",
-                    shard.index, shard.count
-                );
-                std::process::exit(0);
-            }
-            Err(e) => panic!("replaying {}: {e}", full.display()),
-        };
-    }
-    match persist::load_or_assemble(&full, kind, fingerprint) {
-        Ok(Some((col, status))) => {
-            report(status, &full);
-            col
+    let full = dir.join(persist::cache_file_name(name, C::KIND, fingerprint));
+    match persist::load_collection(&full, fingerprint) {
+        Ok(col) => col,
+        Err(PersistError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+            std::process::exit(0)
         }
-        Ok(None) => {
-            println!(
-                "  [shard] {}/{} done; corpus incomplete — run the remaining shards \
-                 (PERFBUG_SHARD=<i>/{}), then re-run any target to assemble \
-                 (or run `pbcol merge`)",
-                shard.index, shard.count, shard.count
-            );
-            std::process::exit(0);
-        }
-        Err(e) => panic!("assembling corpus {}: {e}", full.display()),
+        Err(e) => panic!("replaying {}: {e}", full.display()),
     }
 }
 
 /// Drives an orchestrated collection pass for this bench target: child
 /// re-invocations of the current binary collect shards off a work queue
-/// (`PERFBUG_SHARD=<i>/<n>` + `PERFBUG_SHARD_ONLY=1`, stdout silenced),
+/// (`PERFBUG_SHARD=<i>/<n>`, stdout silenced),
 /// the supervisor retries lost/hung/failed workers within the budget, and
 /// the merged corpus is returned to the caller's evaluation phase.
 fn run_orchestrated(
@@ -307,7 +258,6 @@ fn run_orchestrated(
         cmd.args(std::env::args_os().skip(1))
             .env("PERFBUG_CACHE_DIR", dir)
             .env("PERFBUG_SHARD", format!("{}/{}", shard.index, shard.count))
-            .env("PERFBUG_SHARD_ONLY", "1")
             // Children must not recurse into orchestration, and injected
             // faults belong to this supervisor alone.
             .env_remove("PERFBUG_ORCH_WORKERS")
@@ -328,13 +278,13 @@ fn run_orchestrated(
     }
 }
 
-/// Runs (or replays) a core collection. With `PERFBUG_CACHE_DIR` unset
-/// this is plain [`collect`]; with it set, the collection persists under
-/// `name` and subsequent runs replay it without simulating. With
-/// `PERFBUG_SHARD=<i>/<n>` also set, this process becomes shard worker
-/// `i` of `n`; with `PERFBUG_ORCH_WORKERS=<n>` set instead, it becomes
-/// the supervisor of an orchestrated pass (see the module docs).
-pub fn collect_cached(name: &str, config: &CollectionConfig) -> Collection {
+/// Runs (or replays) a collection of either experiment. With
+/// `PERFBUG_CACHE_DIR` unset this is plain [`collect`]; with it set, the
+/// collection persists under `name` and subsequent runs replay it without
+/// simulating. With `PERFBUG_ORCH_WORKERS=<n>` also set, this process
+/// becomes the supervisor of an orchestrated pass (see the module docs);
+/// its child workers run here with `PERFBUG_SHARD=<i>/<m>`.
+pub fn collect_cached<C: ExperimentConfig>(name: &str, config: &C) -> Collection {
     let Some(dir) = cache_dir() else {
         assert!(
             shard_from_env().is_none(),
@@ -346,55 +296,15 @@ pub fn collect_cached(name: &str, config: &CollectionConfig) -> Collection {
         );
         return collect(config);
     };
-    let fingerprint = persist::config_fingerprint(config);
     if let Some(shard) = shard_from_env() {
-        std::fs::create_dir_all(&dir)
-            .unwrap_or_else(|e| panic!("cannot create cache dir {}: {e}", dir.display()));
-        return run_shard_worker(&dir, name, ExperimentKind::Core, fingerprint, shard, |p| {
-            persist::collect_shard_or_resume(p, config, shard)
-        });
+        return run_shard_worker(&dir, name, config, shard);
     }
+    let fingerprint = config.fingerprint();
     if let Some(orch) = orch_from_env() {
-        return run_orchestrated(&dir, name, ExperimentKind::Core, fingerprint, &orch);
+        return run_orchestrated(&dir, name, C::KIND, fingerprint, &orch);
     }
-    let path = cache_path(&dir, name, ExperimentKind::Core, fingerprint);
+    let path = cache_path(&dir, name, C::KIND, fingerprint);
     let (col, status) = persist::collect_or_load(&path, config)
-        .unwrap_or_else(|e| panic!("collection cache {}: {e}", path.display()));
-    report(status, &path);
-    col
-}
-
-/// [`collect_cached`] for the memory experiment.
-pub fn collect_memory_cached(name: &str, config: &MemCollectionConfig) -> Collection {
-    let Some(dir) = cache_dir() else {
-        assert!(
-            shard_from_env().is_none(),
-            "PERFBUG_SHARD requires PERFBUG_CACHE_DIR (shards live in the cache directory)"
-        );
-        assert!(
-            orch_from_env().is_none(),
-            "PERFBUG_ORCH_WORKERS requires PERFBUG_CACHE_DIR (shards live in the cache directory)"
-        );
-        return collect_memory(config);
-    };
-    let fingerprint = persist::mem_config_fingerprint(config);
-    if let Some(shard) = shard_from_env() {
-        std::fs::create_dir_all(&dir)
-            .unwrap_or_else(|e| panic!("cannot create cache dir {}: {e}", dir.display()));
-        return run_shard_worker(
-            &dir,
-            name,
-            ExperimentKind::Memory,
-            fingerprint,
-            shard,
-            |p| persist::collect_memory_shard_or_resume(p, config, shard),
-        );
-    }
-    if let Some(orch) = orch_from_env() {
-        return run_orchestrated(&dir, name, ExperimentKind::Memory, fingerprint, &orch);
-    }
-    let path = cache_path(&dir, name, ExperimentKind::Memory, fingerprint);
-    let (col, status) = persist::collect_memory_or_load(&path, config)
         .unwrap_or_else(|e| panic!("collection cache {}: {e}", path.display()));
     report(status, &path);
     col

@@ -12,8 +12,8 @@ use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use perfbug_core::exec::ShardSpec;
-use perfbug_core::experiment::{collect, Collection, CollectionConfig};
-use perfbug_core::memory::{collect_memory, MemCollectionConfig, TargetMetric};
+use perfbug_core::experiment::{collect, Collection, CollectionConfig, ExperimentConfig};
+use perfbug_core::memory::{MemCollectionConfig, TargetMetric};
 use perfbug_core::orchestrate::{self, remote, CollectPlan, OrchestratorConfig};
 use perfbug_core::persist::{self, CacheStatus, ExperimentKind, PersistError};
 use perfbug_core::serve::{ExperimentBackend, RunOutcome, SubmitRequest};
@@ -34,16 +34,16 @@ impl SpecConfig {
     /// Experiment kind of this spec.
     pub fn kind(&self) -> ExperimentKind {
         match self {
-            SpecConfig::Core(_) => ExperimentKind::Core,
-            SpecConfig::Memory(_) => ExperimentKind::Memory,
+            SpecConfig::Core(_) => CollectionConfig::KIND,
+            SpecConfig::Memory(_) => MemCollectionConfig::KIND,
         }
     }
 
     /// Config fingerprint of this spec.
     pub fn fingerprint(&self) -> u64 {
         match self {
-            SpecConfig::Core(c) => persist::config_fingerprint(c),
-            SpecConfig::Memory(c) => persist::mem_config_fingerprint(c),
+            SpecConfig::Core(c) => c.fingerprint(),
+            SpecConfig::Memory(c) => c.fingerprint(),
         }
     }
 
@@ -55,7 +55,7 @@ impl SpecConfig {
     ) -> Result<persist::ShardOutcome, PersistError> {
         match self {
             SpecConfig::Core(c) => persist::collect_shard_or_resume(path, c, shard),
-            SpecConfig::Memory(c) => persist::collect_memory_shard_or_resume(path, c, shard),
+            SpecConfig::Memory(c) => persist::collect_shard_or_resume(path, c, shard),
         }
     }
 
@@ -64,7 +64,7 @@ impl SpecConfig {
     pub fn collect_or_load(&self, path: &Path) -> Result<(Collection, CacheStatus), PersistError> {
         match self {
             SpecConfig::Core(c) => persist::collect_or_load(path, c),
-            SpecConfig::Memory(c) => persist::collect_memory_or_load(path, c),
+            SpecConfig::Memory(c) => persist::collect_or_load(path, c),
         }
     }
 
@@ -72,7 +72,7 @@ impl SpecConfig {
     pub fn collect_full(&self) -> Collection {
         match self {
             SpecConfig::Core(c) => collect(c),
-            SpecConfig::Memory(c) => collect_memory(c),
+            SpecConfig::Memory(c) => collect(c),
         }
     }
 }

@@ -5,8 +5,9 @@
 //! (probe, engine) stage-1 training job is independent — but the work is
 //! heavily skewed: buggy runs stall pipelines for many more cycles than
 //! healthy ones, and neural engines train orders of magnitude longer than
-//! boosted trees. This module provides the scheduler the collection passes
-//! (`experiment::collect`, `memory::collect_memory`) are built on:
+//! boosted trees. This module provides the scheduler every collection pass
+//! (`experiment::collect` and the persistence front doors, for either
+//! experiment) is built on:
 //!
 //! * a sharded **work-stealing index scheduler** ([`Scheduler`]) — each
 //!   worker owns a contiguous shard of the task range and claims indices
@@ -19,11 +20,10 @@
 //! * [`parallel_map`] / [`parallel_map_with`] — scoped-thread drivers that
 //!   tie the two together and preserve index order, so results are
 //!   byte-identical regardless of worker count;
-//! * [`collect_unit_grid`] — the shared three-phase collection driver over
-//!   a (probe × unit) simulation grid. The core and memory experiments
-//!   used to each carry their own copy of this pipeline (~120 structurally
-//!   identical lines); both now parameterise this single driver with their
-//!   trace builder, simulator and counter-selection policy;
+//! * [`collect_unit_grid_streaming`] — the shared three-phase collection
+//!   driver over a (probe × unit) simulation grid. The core and memory
+//!   experiments parameterise this single driver with their trace
+//!   builder, simulator and counter-selection policy;
 //! * [`ShardSpec`] — multi-process scale-out. A shard restricts the driver
 //!   to a deterministic contiguous probe range of the grid; because every
 //!   probe's pipeline is independent and deterministic, the union of any
@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use crate::experiment::{CapturedSeries, EngineResult, DELTA_CEILING};
+use crate::experiment::{CapturedSeries, DELTA_CEILING};
 use crate::stage1::{inference_error, EngineSpec, FeatureSpec, ProbeModel, RunSeries};
 
 /// The number of worker threads to use when the caller does not override
@@ -217,7 +217,8 @@ where
 // Shared unit-grid collection driver
 // --------------------------------------------------------------------------
 
-/// Process-wide count of simulation units run by [`collect_unit_grid`].
+/// Process-wide count of simulation units run by
+/// [`collect_unit_grid_streaming`].
 ///
 /// Incremented once per (probe, unit) simulation task. The replay tooling
 /// (`examples/replay.rs`, the CI replay guard, `speed_test`) samples it
@@ -330,7 +331,7 @@ impl ShardSpec {
 /// A *unit* is one distinct (design, bug) combination; every probe
 /// simulates each unit exactly once and the result is shared by all its
 /// consumers. The vectors index into `0..n_units`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct UnitGrid {
     /// Number of distinct units per probe.
     pub n_units: usize,
@@ -340,19 +341,6 @@ pub struct UnitGrid {
     pub val_units: Vec<usize>,
     /// Unit of each evaluation run key, in key order.
     pub key_units: Vec<usize>,
-}
-
-/// Everything [`collect_unit_grid`] produces, in probe order.
-#[derive(Debug)]
-pub struct GridOutput {
-    /// Per-engine inference errors and stage-1 timings.
-    pub engines: Vec<EngineResult>,
-    /// Overall target metric per `[probe][key]`.
-    pub overall: Vec<Vec<f64>>,
-    /// Aggregated per-run baseline features per `[probe][key]`.
-    pub agg_features: Vec<Vec<Vec<f64>>>,
-    /// Captured (simulated, inferred) series, in (probe, engine) order.
-    pub captures: Vec<CapturedSeries>,
 }
 
 /// Output of one (probe, engine) stage-1 training task, as surfaced per
@@ -394,94 +382,27 @@ pub struct ProbeOutput {
 ///   `experiment::DELTA_CEILING`) and optional captured series
 ///   (`capture`).
 ///
+/// Each probe's complete output is handed to `on_probe(absolute probe
+/// index, output)` as soon as its block's deterministic assembly reaches
+/// it, instead of being accumulated in memory. The callback runs on the
+/// calling thread, in strictly increasing probe order, and may fail — a
+/// `Err` aborts the pass immediately (work already queued in the current
+/// block is finished first).
+///
 /// `shard` restricts the driver to that shard's probe range
 /// ([`ShardSpec::probe_range`]); probe indices handed to the callbacks are
 /// always absolute grid indices, so a probe's pipeline is bit-identical
-/// whether it runs in a full pass or inside any shard.
+/// whether it runs in a full pass or inside any shard. `skip` drops the
+/// first `skip` probes of the shard's range without simulating them — the
+/// resume path: a crashed worker whose durable prefix already holds
+/// `skip` probes continues from the first missing one.
 ///
 /// Probes are processed in blocks of `max(threads, 2)` to bound peak
 /// memory; results are published into per-task slots and assembled in
 /// deterministic index order, so the output is identical for any worker
-/// count and any block size.
+/// count, any block size and any `skip`.
 // One parameter per pipeline customisation point; bundling them into a
 // struct of closures would only move the argument list.
-#[allow(clippy::too_many_arguments)]
-pub fn collect_unit_grid<T, MkTrace, Sim, Prep, Cap>(
-    n_probes: usize,
-    threads: usize,
-    shard: ShardSpec,
-    grid: &UnitGrid,
-    engines: &[EngineSpec],
-    make_trace: MkTrace,
-    simulate: Sim,
-    prepare: Prep,
-    capture: Cap,
-) -> GridOutput
-where
-    T: Send + Sync,
-    MkTrace: Fn(usize) -> T + Sync,
-    Sim: Fn(&T, usize) -> (RunSeries, f64) + Sync,
-    Prep: Fn(usize, &[(RunSeries, f64)]) -> FeatureSpec + Sync,
-    Cap: Fn(usize, usize, &EngineSpec, &RunSeries, &[f64]) -> Option<CapturedSeries> + Sync,
-{
-    let shard_len = shard.probe_range(n_probes).len();
-    let mut out = GridOutput {
-        engines: engines
-            .iter()
-            .map(|e| EngineResult {
-                name: e.name(),
-                deltas: Vec::with_capacity(shard_len),
-                train_time: Duration::ZERO,
-                infer_time: Duration::ZERO,
-            })
-            .collect(),
-        overall: Vec::with_capacity(shard_len),
-        agg_features: Vec::with_capacity(shard_len),
-        captures: Vec::new(),
-    };
-    let result: Result<(), std::convert::Infallible> = collect_unit_grid_streaming(
-        n_probes,
-        threads,
-        shard,
-        0,
-        grid,
-        engines,
-        make_trace,
-        simulate,
-        prepare,
-        capture,
-        |_probe, po| {
-            out.overall.push(po.overall);
-            out.agg_features.push(po.agg);
-            for (engine, o) in out.engines.iter_mut().zip(po.engines) {
-                engine.deltas.push(o.deltas);
-                engine.train_time += o.train_time;
-                engine.infer_time += o.infer_time;
-                out.captures.extend(o.captures);
-            }
-            Ok(())
-        },
-    );
-    match result {
-        Ok(()) => out,
-        Err(never) => match never {},
-    }
-}
-
-/// The streaming variant of [`collect_unit_grid`]: identical pipeline,
-/// but each probe's complete output is handed to `on_probe(absolute
-/// probe index, output)` as soon as its block's deterministic assembly
-/// reaches it, instead of being accumulated in memory. The callback runs
-/// on the calling thread, in strictly increasing probe order, and may
-/// fail — a `Err` aborts the pass immediately (work already queued in
-/// the current block is finished first).
-///
-/// `skip` drops the first `skip` probes of the shard's range without
-/// simulating them — the resume path: a crashed worker whose durable
-/// prefix already holds `skip` probes continues from the first missing
-/// one. Because every probe's pipeline depends only on its own trace,
-/// the probes that *are* run produce bit-identical output regardless of
-/// `skip` (block boundaries shift, which affects nothing but batching).
 #[allow(clippy::too_many_arguments)]
 pub fn collect_unit_grid_streaming<T, MkTrace, Sim, Prep, Cap, E>(
     n_probes: usize,

@@ -15,6 +15,7 @@ use perfbug_uarch::{presets, simulate, ArchSet, BugSpec, MicroarchConfig};
 use perfbug_workloads::{spec2006, BenchmarkSpec, Probe, Program, RowMatrix, WorkloadScale};
 
 use crate::exec;
+use crate::persist::ExperimentKind;
 
 use crate::baseline::{BaselineClassifier, BaselineParams, BaselineSample};
 use crate::bugs::{BugCatalog, Severity};
@@ -261,81 +262,85 @@ impl CollectionConfig {
     }
 }
 
-/// The simulation-unit grid of one collection pass.
+/// The simulation-unit grid of one collection pass, for either
+/// experiment.
 ///
 /// A *unit* is one distinct (design, bug) combination; per probe, each
 /// unit is simulated exactly once and its result is shared by every
 /// consumer — stage-1 training (Set I), stage-1 validation (Set II), and
 /// every evaluation key. In particular the bug-free reference run of each
 /// design exists once per (probe, design) and is never re-simulated for
-/// the evaluation pass. The index structure is handed to the shared
-/// [`exec::collect_unit_grid`] driver as an [`exec::UnitGrid`].
-struct SimGrid<'p> {
-    /// All distinct designs: Set I first, then the evaluation designs.
-    archs: Vec<&'p MicroarchConfig>,
-    /// Distinct (arch index, catalogue bug index) combinations.
-    units: Vec<(usize, Option<usize>)>,
-    /// Unit of each Set-I bug-free training run.
-    train_units: Vec<usize>,
-    /// Unit of each Set-II bug-free validation run.
-    val_units: Vec<usize>,
-    /// Unit of each run key (same order as `keys`).
-    key_units: Vec<usize>,
-    /// The run-key list of the collection.
-    keys: Vec<RunKey>,
+/// the evaluation pass. The unit roles are handed to the shared
+/// [`exec::collect_unit_grid_streaming`] driver as an [`exec::UnitGrid`].
+pub(crate) struct SimGrid {
+    /// Distinct (design index, catalogue bug index) combinations, by unit;
+    /// design indices are the experiment's own.
+    pub(crate) units: Vec<(usize, Option<usize>)>,
+    /// Which units train, validate and evaluate.
+    pub(crate) roles: exec::UnitGrid,
+    /// The run-key list of the collection (aligned with
+    /// `roles.key_units`).
+    pub(crate) keys: Vec<RunKey>,
 }
 
-impl<'p> SimGrid<'p> {
-    /// Builds the grid (and the aligned key list) for a partition and
-    /// catalogue.
-    fn build(partition: &'p ArchPartition, catalog: &BugCatalog) -> Self {
-        let mut archs: Vec<&MicroarchConfig> = partition.train.iter().collect();
+impl SimGrid {
+    /// Builds the grid and the aligned key list: one bug-free unit per
+    /// `train` design first, then per evaluation design `(index, name,
+    /// set, validates)` its bug-free unit — a stage-1 validation run when
+    /// `validates` — and one unit per catalogue bug.
+    pub(crate) fn build<'a>(
+        train: impl IntoIterator<Item = usize>,
+        eval: impl IntoIterator<Item = (usize, &'a str, ArchSet, bool)>,
+        n_bugs: usize,
+    ) -> Self {
         let mut units = Vec::new();
-        let mut train_units = Vec::new();
-        for idx in 0..archs.len() {
-            train_units.push(units.len());
-            units.push((idx, None));
+        let mut roles = exec::UnitGrid::default();
+        for design in train {
+            roles.train_units.push(units.len());
+            units.push((design, None));
         }
-        let mut val_units = Vec::new();
-        let mut key_units = Vec::new();
         let mut keys = Vec::new();
-        for (ei, arch) in partition.eval_archs().into_iter().enumerate() {
-            let arch_idx = archs.len();
-            archs.push(arch);
-            let bugfree_unit = units.len();
-            units.push((arch_idx, None));
-            // Validation runs are the members of `partition.val` (the
-            // first entries of `eval_archs()`), not whichever designs
-            // happen to carry a Set-II tag — custom partitions may
-            // deliberately mix tags and vectors.
-            if ei < partition.val.len() {
-                val_units.push(bugfree_unit);
+        for (design, arch, set, validates) in eval {
+            if validates {
+                roles.val_units.push(units.len());
             }
-            key_units.push(bugfree_unit);
-            keys.push(RunKey {
-                arch: arch.name.clone(),
-                set: arch.set,
-                bug: None,
-            });
-            for i in 0..catalog.len() {
-                key_units.push(units.len());
-                units.push((arch_idx, Some(i)));
+            for bug in std::iter::once(None).chain((0..n_bugs).map(Some)) {
+                roles.key_units.push(units.len());
+                units.push((design, bug));
                 keys.push(RunKey {
-                    arch: arch.name.clone(),
-                    set: arch.set,
-                    bug: Some(i),
+                    arch: arch.to_string(),
+                    set,
+                    bug,
                 });
             }
         }
-        SimGrid {
-            archs,
-            units,
-            train_units,
-            val_units,
-            key_units,
-            keys,
-        }
+        roles.n_units = units.len();
+        SimGrid { units, roles, keys }
     }
+}
+
+/// The core experiment's designs — Set I first, then the evaluation
+/// designs — and its simulation grid over them.
+fn core_grid<'p>(
+    partition: &'p ArchPartition,
+    catalog: &BugCatalog,
+) -> (Vec<&'p MicroarchConfig>, SimGrid) {
+    let archs: Vec<&MicroarchConfig> = partition
+        .train
+        .iter()
+        .chain(partition.eval_archs())
+        .collect();
+    let n_train = partition.train.len();
+    // Validation runs are the members of `partition.val` (the first
+    // entries of `eval_archs()`), not whichever designs happen to carry a
+    // Set-II tag — custom partitions may deliberately mix tags and
+    // vectors.
+    let eval = archs[n_train..].iter().enumerate().map(|(ei, arch)| {
+        let validates = ei < partition.val.len();
+        (n_train + ei, arch.name.as_str(), arch.set, validates)
+    });
+    let grid = SimGrid::build(0..n_train, eval, catalog.len());
+    (archs, grid)
 }
 
 /// Number of distinct simulation units — (design, bug) combinations —
@@ -343,7 +348,7 @@ impl<'p> SimGrid<'p> {
 /// `probes x this` runs; throughput tooling uses it to turn wall time
 /// into runs/sec without re-deriving the grid shape.
 pub fn simulation_units_per_probe(partition: &ArchPartition, catalog: &BugCatalog) -> usize {
-    SimGrid::build(partition, catalog).units.len()
+    core_grid(partition, catalog).1.units.len()
 }
 
 /// Selects up to `max` probes round-robin across benchmarks.
@@ -371,17 +376,6 @@ fn subsample_probes(per_benchmark: Vec<Vec<Probe>>, max: Option<usize>) -> Vec<P
     taken
 }
 
-/// Runs the full collection pass: simulate, select counters, train stage-1
-/// models and gather inference errors for every (probe, run key).
-///
-/// # Panics
-///
-/// Panics if the configuration has no engines, no benchmarks, or no
-/// designs in a required set.
-pub fn collect(config: &CollectionConfig) -> Collection {
-    collect_sharded(config, exec::ShardSpec::full()).0
-}
-
 /// The simulation-independent shape of a collection pass, derivable from
 /// the configuration alone (no probe is simulated).
 ///
@@ -402,10 +396,137 @@ pub struct PassIdentity {
     pub total_probes: usize,
 }
 
-/// Everything [`collect_sharded_streaming`] derives from the
-/// configuration before any simulation runs.
+/// The configuration of one experiment's collection pass: the core
+/// experiment ([`CollectionConfig`]) or the memory experiment
+/// ([`MemCollectionConfig`](crate::memory::MemCollectionConfig)).
+///
+/// Both experiments run the same two-stage method and produce the same
+/// [`Collection`]; they differ only in the simulator, the design set and
+/// the counter policy, which live behind [`collect_streaming`]. Every
+/// layer above that — [`collect`] / [`collect_sharded`], the persistence
+/// front doors ([`crate::persist::collect_or_load`],
+/// [`crate::persist::collect_shard_or_resume`]) and the bench harness —
+/// is one function generic over this trait.
+///
+/// [`collect_streaming`]: ExperimentConfig::collect_streaming
+pub trait ExperimentConfig {
+    /// The experiment kind recorded in file headers and cache file names.
+    const KIND: ExperimentKind;
+
+    /// Fingerprint of everything in the configuration that shapes the
+    /// collected data (worker threads excluded); a cache file written
+    /// under another fingerprint is stale.
+    fn fingerprint(&self) -> u64;
+
+    /// Derives the [`PassIdentity`] without simulating anything.
+    ///
+    /// # Panics
+    ///
+    /// As [`collect`].
+    fn pass_identity(&self) -> PassIdentity;
+
+    /// The streaming heart of collection: runs the probes of `shard`,
+    /// skipping the first `skip` (already-durable probes of a resumed
+    /// attempt), and hands each probe's metadata and complete output to
+    /// `sink` in strictly increasing probe order as soon as it is
+    /// assembled. Returns the total probe count of the full pass.
+    ///
+    /// A `sink` error aborts the pass (the error is returned verbatim);
+    /// nothing is retried. Every probe's pipeline depends only on its own
+    /// trace, so the streamed outputs are bit-identical to the
+    /// corresponding slice of [`collect_sharded`] for any `skip`.
+    ///
+    /// # Panics
+    ///
+    /// As [`collect`]. A shard may legitimately own zero probes (more
+    /// shards than probes); the *global* probe set must still be
+    /// non-empty.
+    fn collect_streaming<E>(
+        &self,
+        shard: exec::ShardSpec,
+        skip: usize,
+        sink: impl FnMut(ProbeMeta, exec::ProbeOutput) -> Result<(), E>,
+    ) -> Result<usize, E>;
+}
+
+/// Runs the full collection pass: simulate, select counters, train stage-1
+/// models and gather inference errors for every (probe, run key).
+///
+/// # Panics
+///
+/// Panics if the configuration has no engines or extracts no probes; a
+/// core configuration also panics with no benchmarks or an empty Set I
+/// or Set IV.
+pub fn collect<C: ExperimentConfig>(config: &C) -> Collection {
+    collect_sharded(config, exec::ShardSpec::full()).0
+}
+
+/// Runs one shard of the collection pass: only the probes in
+/// `shard.probe_range(total)` are simulated and trained, producing a
+/// partial [`Collection`] whose per-probe vectors cover exactly that
+/// range (the run-key axis is always complete). Returns the shard's
+/// collection and the total probe count of the full pass, so callers can
+/// build the persistence manifest (`crate::persist::ShardManifest`).
+///
+/// Every probe's pipeline depends only on its own trace, so a probe's
+/// results are bit-identical whether collected in a full pass or in any
+/// shard; merging a disjoint covering set of shards
+/// (`crate::persist::merge_collections`) reassembles the single-process
+/// collection exactly (wall-clock timings aside, which sum over shards).
+///
+/// # Panics
+///
+/// As [`collect`]. A shard may legitimately own zero probes (more shards
+/// than probes); the *global* probe set must still be non-empty.
+pub fn collect_sharded<C: ExperimentConfig>(
+    config: &C,
+    shard: exec::ShardSpec,
+) -> (Collection, usize) {
+    let identity = config.pass_identity();
+    let mut col = Collection {
+        keys: identity.keys,
+        probes: Vec::new(),
+        engines: identity
+            .engine_names
+            .into_iter()
+            .map(|name| EngineResult {
+                name,
+                deltas: Vec::new(),
+                train_time: Duration::ZERO,
+                infer_time: Duration::ZERO,
+            })
+            .collect(),
+        overall_ipc: Vec::new(),
+        agg_features: Vec::new(),
+        captures: Vec::new(),
+        catalog: identity.catalog,
+    };
+    let result: Result<usize, std::convert::Infallible> =
+        config.collect_streaming(shard, 0, |meta, po| {
+            col.probes.push(meta);
+            col.overall_ipc.push(po.overall);
+            col.agg_features.push(po.agg);
+            for (engine, o) in col.engines.iter_mut().zip(po.engines) {
+                engine.deltas.push(o.deltas);
+                engine.train_time += o.train_time;
+                engine.infer_time += o.infer_time;
+                col.captures.extend(o.captures);
+            }
+            Ok(())
+        });
+    let total = match result {
+        Ok(total) => total,
+        Err(never) => match never {},
+    };
+    (col, total)
+}
+
+/// Everything the core experiment's
+/// [`collect_streaming`](ExperimentConfig::collect_streaming) derives from
+/// the configuration before any simulation runs.
 struct PreparedPass<'c> {
-    grid: SimGrid<'c>,
+    archs: Vec<&'c MicroarchConfig>,
+    grid: SimGrid,
     programs: Vec<Program>,
     probes: Vec<Probe>,
 }
@@ -427,7 +548,7 @@ fn prepare_pass(config: &CollectionConfig) -> PreparedPass<'_> {
         "Set IV must not be empty"
     );
 
-    let grid = SimGrid::build(&config.partition, &config.catalog);
+    let (archs, grid) = core_grid(&config.partition, &config.catalog);
 
     // Build programs and probes per benchmark.
     let programs: Vec<Program> = config
@@ -443,14 +564,15 @@ fn prepare_pass(config: &CollectionConfig) -> PreparedPass<'_> {
     let probes = subsample_probes(per_benchmark, config.max_probes);
     assert!(!probes.is_empty(), "no probes extracted");
     PreparedPass {
+        archs,
         grid,
         programs,
         probes,
     }
 }
 
-/// Derives the [`PassIdentity`] of a configuration without simulating
-/// anything.
+/// Derives the [`PassIdentity`] of a core configuration without
+/// simulating anything ([`ExperimentConfig::pass_identity`]).
 ///
 /// # Panics
 ///
@@ -458,210 +580,144 @@ fn prepare_pass(config: &CollectionConfig) -> PreparedPass<'_> {
 pub fn pass_identity(config: &CollectionConfig) -> PassIdentity {
     let pass = prepare_pass(config);
     PassIdentity {
-        keys: pass.grid.keys.clone(),
+        keys: pass.grid.keys,
         engine_names: config.engines.iter().map(|e| e.name()).collect(),
         catalog: config.catalog.clone(),
         total_probes: pass.probes.len(),
     }
 }
 
-/// The streaming heart of sharded collection: runs the probes of
-/// `shard`, skipping the first `skip` (already-durable probes of a
-/// resumed attempt), and hands each probe's metadata and complete output
-/// to `sink` in strictly increasing probe order as soon as it is
-/// assembled. Returns the total probe count of the full pass.
-///
-/// A `sink` error aborts the pass (the error is returned verbatim);
-/// nothing is retried. Every probe's pipeline depends only on its own
-/// trace, so the streamed outputs are bit-identical to the corresponding
-/// slice of [`collect_sharded`] for any `skip`.
-///
-/// # Panics
-///
-/// As [`collect`]. A shard may legitimately own zero probes (more shards
-/// than probes); the *global* probe set must still be non-empty.
-pub fn collect_sharded_streaming<E>(
-    config: &CollectionConfig,
-    shard: exec::ShardSpec,
-    skip: usize,
-    mut sink: impl FnMut(ProbeMeta, exec::ProbeOutput) -> Result<(), E>,
-) -> Result<usize, E> {
-    let pass = prepare_pass(config);
-    let PreparedPass {
-        grid,
-        programs,
-        probes,
-    } = &pass;
-    let keys = &grid.keys;
-    let program_of = |probe: &Probe| -> &Program {
-        let idx = config
-            .benchmarks
-            .iter()
-            .position(|b| b.name == probe.benchmark)
-            .expect("probe from configured benchmark");
-        &programs[idx]
-    };
+impl ExperimentConfig for CollectionConfig {
+    const KIND: ExperimentKind = ExperimentKind::Core;
 
-    // Probe setup consults the persistent trace store before regenerating
-    // any trace — gated on the PERFBUG_TRACE_DIR knob and on every bug of
-    // the pass (catalogue variants *and* the presumed-bug-free defect)
-    // being trace-invariant, so a stream-perturbing bug degrades to the
-    // uncached path instead of replaying a trace it invalidates.
-    let store = crate::tracecache::TraceStore::from_env().filter(|_| {
-        config.catalog.trace_invariant()
-            && config
-                .presumed_bugfree_bug
-                .is_none_or(|b| !b.perturbs_trace())
-    });
-    let traces =
-        crate::tracecache::TraceProvider::new(store, &config.benchmarks, config.scale.workload);
+    fn fingerprint(&self) -> u64 {
+        crate::persist::config_fingerprint(self)
+    }
 
-    // Run-level parallel collection through the shared unit-grid driver
-    // (`exec::collect_unit_grid_streaming`): trace generation, the
-    // (probe x unit) simulation grid, per-probe counter selection and the
-    // (probe x engine) training grid all run on the work-stealing pool,
-    // with deterministic assembly for any worker count.
-    let unit_grid = exec::UnitGrid {
-        n_units: grid.units.len(),
-        train_units: grid.train_units.clone(),
-        val_units: grid.val_units.clone(),
-        key_units: grid.key_units.clone(),
-    };
-    exec::collect_unit_grid_streaming(
-        probes.len(),
-        config.threads,
-        shard,
-        skip,
-        &unit_grid,
-        &config.engines,
-        |pi| traces.trace(&probes[pi], program_of(&probes[pi])),
-        |trace: &Vec<perfbug_workloads::Inst>, u| {
-            let (arch_idx, bug_idx) = grid.units[u];
-            let arch = grid.archs[arch_idx];
-            // The presumed-bug-free defect contaminates every run: it is
-            // part of the "design" for this experiment.
-            let bug = bug_idx
-                .map(|i| config.catalog.variants()[i])
-                .or(config.presumed_bugfree_bug);
-            let pr = simulate(arch, bug, trace, config.scale.step_cycles);
-            let overall = pr.overall_ipc();
-            (
-                RunSeries {
-                    rows: pr.counter_rows,
-                    target: pr.ipc,
-                    arch_features: arch.feature_vector(),
-                },
-                overall,
-            )
-        },
-        |_pi, units| {
-            let selected = match &config.counter_mode {
-                CounterMode::Automatic(thresholds) => {
-                    let mut rows = RowMatrix::new(0);
-                    let mut target = Vec::new();
-                    for &u in &grid.train_units {
-                        rows.extend_from(&units[u].0.rows);
-                        target.extend_from_slice(&units[u].0.target);
-                    }
-                    select_counters(&rows, &target, thresholds, &leakage_banned_counters())
-                }
-                CounterMode::Manual(cols) => cols.clone(),
-            };
-            FeatureSpec {
-                selected,
-                arch_features: config.arch_features,
-                window: config.window.max(1),
-            }
-        },
-        |pi, pos, engine, series, inferred| {
-            let key = &keys[pos];
-            let probe = &probes[pi];
-            let wanted = config
-                .captures
+    fn pass_identity(&self) -> PassIdentity {
+        pass_identity(self)
+    }
+
+    fn collect_streaming<E>(
+        &self,
+        shard: exec::ShardSpec,
+        skip: usize,
+        mut sink: impl FnMut(ProbeMeta, exec::ProbeOutput) -> Result<(), E>,
+    ) -> Result<usize, E> {
+        let config = self;
+        let pass = prepare_pass(config);
+        let PreparedPass {
+            archs,
+            grid,
+            programs,
+            probes,
+        } = &pass;
+        let keys = &grid.keys;
+        let program_of = |probe: &Probe| -> &Program {
+            let idx = config
+                .benchmarks
                 .iter()
-                .any(|c| c.probe_id == probe.id() && c.arch == key.arch && c.bug == key.bug);
-            wanted.then(|| CapturedSeries {
-                probe_id: probe.id(),
-                arch: key.arch.clone(),
-                bug: key.bug,
-                engine: engine.name(),
-                simulated: series.target.clone(),
-                inferred: inferred.to_vec(),
-            })
-        },
-        |pi, output| {
-            let probe = &probes[pi];
-            sink(
-                ProbeMeta {
-                    id: probe.id(),
-                    benchmark: probe.benchmark.clone(),
-                    weight: probe.weight,
-                },
-                output,
-            )
-        },
-    )?;
-    Ok(probes.len())
-}
+                .position(|b| b.name == probe.benchmark)
+                .expect("probe from configured benchmark");
+            &programs[idx]
+        };
 
-/// Runs one shard of the collection pass: only the probes in
-/// `shard.probe_range(total)` are simulated and trained, producing a
-/// partial [`Collection`] whose per-probe vectors cover exactly that
-/// range (the run-key axis is always complete). Returns the shard's
-/// collection and the total probe count of the full pass, so callers can
-/// build the persistence manifest (`crate::persist::ShardManifest`).
-///
-/// Every probe's pipeline depends only on its own trace, so a probe's
-/// results are bit-identical whether collected in a full pass or in any
-/// shard; merging a disjoint covering set of shards
-/// (`crate::persist::merge_collections`) reassembles the single-process
-/// collection exactly (wall-clock timings aside, which sum over shards).
-///
-/// # Panics
-///
-/// As [`collect`]. A shard may legitimately own zero probes (more shards
-/// than probes); the *global* probe set must still be non-empty.
-pub fn collect_sharded(config: &CollectionConfig, shard: exec::ShardSpec) -> (Collection, usize) {
-    let identity = pass_identity(config);
-    let mut col = Collection {
-        keys: identity.keys,
-        probes: Vec::new(),
-        engines: identity
-            .engine_names
-            .into_iter()
-            .map(|name| EngineResult {
-                name,
-                deltas: Vec::new(),
-                train_time: Duration::ZERO,
-                infer_time: Duration::ZERO,
-            })
-            .collect(),
-        overall_ipc: Vec::new(),
-        agg_features: Vec::new(),
-        captures: Vec::new(),
-        catalog: identity.catalog,
-    };
-    let total = {
-        let col = &mut col;
-        let result: Result<usize, std::convert::Infallible> =
-            collect_sharded_streaming(config, shard, 0, |meta, po| {
-                col.probes.push(meta);
-                col.overall_ipc.push(po.overall);
-                col.agg_features.push(po.agg);
-                for (engine, o) in col.engines.iter_mut().zip(po.engines) {
-                    engine.deltas.push(o.deltas);
-                    engine.train_time += o.train_time;
-                    engine.infer_time += o.infer_time;
-                    col.captures.extend(o.captures);
+        // Probe setup consults the persistent trace store before
+        // regenerating any trace — gated on the PERFBUG_TRACE_DIR knob and
+        // on every bug of the pass (catalogue variants *and* the
+        // presumed-bug-free defect) being trace-invariant, so a
+        // stream-perturbing bug degrades to the uncached path instead of
+        // replaying a trace it invalidates.
+        let store = crate::tracecache::TraceStore::from_env().filter(|_| {
+            config.catalog.trace_invariant()
+                && config
+                    .presumed_bugfree_bug
+                    .is_none_or(|b| !b.perturbs_trace())
+        });
+        let traces =
+            crate::tracecache::TraceProvider::new(store, &config.benchmarks, config.scale.workload);
+
+        // Run-level parallel collection through the shared unit-grid
+        // driver: trace generation, the (probe x unit) simulation grid,
+        // per-probe counter selection and the (probe x engine) training
+        // grid all run on the work-stealing pool, with deterministic
+        // assembly for any worker count.
+        exec::collect_unit_grid_streaming(
+            probes.len(),
+            config.threads,
+            shard,
+            skip,
+            &grid.roles,
+            &config.engines,
+            |pi| traces.trace(&probes[pi], program_of(&probes[pi])),
+            |trace: &Vec<perfbug_workloads::Inst>, u| {
+                let (arch_idx, bug_idx) = grid.units[u];
+                let arch = archs[arch_idx];
+                // The presumed-bug-free defect contaminates every run: it
+                // is part of the "design" for this experiment.
+                let bug = bug_idx
+                    .map(|i| config.catalog.variants()[i])
+                    .or(config.presumed_bugfree_bug);
+                let pr = simulate(arch, bug, trace, config.scale.step_cycles);
+                let overall = pr.overall_ipc();
+                (
+                    RunSeries {
+                        rows: pr.counter_rows,
+                        target: pr.ipc,
+                        arch_features: arch.feature_vector(),
+                    },
+                    overall,
+                )
+            },
+            |_pi, units| {
+                let selected = match &config.counter_mode {
+                    CounterMode::Automatic(thresholds) => {
+                        let mut rows = RowMatrix::new(0);
+                        let mut target = Vec::new();
+                        for &u in &grid.roles.train_units {
+                            rows.extend_from(&units[u].0.rows);
+                            target.extend_from_slice(&units[u].0.target);
+                        }
+                        select_counters(&rows, &target, thresholds, &leakage_banned_counters())
+                    }
+                    CounterMode::Manual(cols) => cols.clone(),
+                };
+                FeatureSpec {
+                    selected,
+                    arch_features: config.arch_features,
+                    window: config.window.max(1),
                 }
-                Ok(())
-            });
-        match result {
-            Ok(total) => total,
-            Err(never) => match never {},
-        }
-    };
-    (col, total)
+            },
+            |pi, pos, engine, series, inferred| {
+                let key = &keys[pos];
+                let probe = &probes[pi];
+                let wanted = config
+                    .captures
+                    .iter()
+                    .any(|c| c.probe_id == probe.id() && c.arch == key.arch && c.bug == key.bug);
+                wanted.then(|| CapturedSeries {
+                    probe_id: probe.id(),
+                    arch: key.arch.clone(),
+                    bug: key.bug,
+                    engine: engine.name(),
+                    simulated: series.target.clone(),
+                    inferred: inferred.to_vec(),
+                })
+            },
+            |pi, output| {
+                let probe = &probes[pi];
+                sink(
+                    ProbeMeta {
+                        id: probe.id(),
+                        benchmark: probe.benchmark.clone(),
+                        weight: probe.weight,
+                    },
+                    output,
+                )
+            },
+        )?;
+        Ok(probes.len())
+    }
 }
 
 // --------------------------------------------------------------------------

@@ -56,17 +56,16 @@ pub use detmetrics::{Decision, DetectionMetrics};
 pub use exec::ShardSpec;
 pub use experiment::{
     collect, collect_sharded, evaluate_baseline, evaluate_two_stage, evaluate_two_stage_subset,
-    ArchPartition, Collection, CollectionConfig, ProbeScale, RunKey,
+    ArchPartition, Collection, CollectionConfig, ExperimentConfig, ProbeScale, RunKey,
 };
 pub use fuzz::{Family, FuzzSpec, FuzzedCatalog, FuzzedVariant};
-pub use memory::{collect_memory, collect_memory_sharded, MemCollectionConfig, TargetMetric};
+pub use memory::{MemCollectionConfig, TargetMetric};
 pub use orchestrate::{
     orchestrate_collection, run_orchestrator, CollectPlan, Fault, OrchestrateError,
     OrchestratedRun, OrchestratorConfig, RunReport,
 };
 pub use persist::{
-    collect_memory_or_load, collect_memory_shard_or_load, collect_memory_shard_or_resume,
-    collect_or_load, collect_shard_or_load, collect_shard_or_resume, config_fingerprint,
+    collect_memory_or_load, collect_or_load, collect_shard_or_resume, config_fingerprint,
     load_collection, mem_config_fingerprint, merge_collections, merge_shard_files, part_path_for,
     save_collection, scan_part, scan_part_file, verify_stream, CacheStatus, ChunkEntry,
     ExperimentKind, FileHeader, PersistError, ProbeReader, RecoveredPrefix, ShardManifest,

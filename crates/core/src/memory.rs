@@ -2,19 +2,21 @@
 //!
 //! Identical two-stage pipeline, but probes run on the ChampSim-like cache
 //! hierarchy simulator and the stage-1 target can be either IPC or AMAT.
-//! Results feed the same [`Collection`] / evaluation machinery as the core
-//! experiment.
+//! [`MemCollectionConfig`] implements [`ExperimentConfig`], so the same
+//! [`collect`](crate::experiment::collect) and persistence front doors run
+//! it, and its results feed the same
+//! [`Collection`](crate::experiment::Collection) / evaluation machinery as
+//! the core experiment.
 
 use perfbug_memsim::{self as memsim, simulate_memory, MemArchConfig, MemBugSpec};
 use perfbug_uarch::ArchSet;
 use perfbug_workloads::{Probe, Program, RowMatrix, WorkloadScale};
 
-use std::time::Duration;
-
 use crate::bugs::{BugCatalog, MemBugCatalog};
 use crate::counter_select::{select_counters, CounterMode, SelectionThresholds};
 use crate::exec;
-use crate::experiment::{Collection, EngineResult, PassIdentity, ProbeMeta, RunKey};
+use crate::experiment::{ExperimentConfig, PassIdentity, ProbeMeta, SimGrid};
+use crate::persist::ExperimentKind;
 use crate::stage1::{EngineSpec, FeatureSpec, RunSeries};
 use crate::tracecache::{TraceProvider, TraceStore};
 use perfbug_memsim::mem_counter_names;
@@ -88,30 +90,14 @@ fn mem_set(set: memsim::ArchSet) -> ArchSet {
     }
 }
 
-/// Runs the memory-system collection pass. The returned [`Collection`]
-/// reuses the core experiment's structure (and thus its evaluation
-/// functions); the `catalog` field inside it is a placeholder mirroring
-/// the memory catalogue's shape, exposed through
-/// [`mem_catalog_as_core`].
-///
-/// # Panics
-///
-/// Panics if no engines are configured.
-pub fn collect_memory(config: &MemCollectionConfig) -> Collection {
-    collect_memory_sharded(config, exec::ShardSpec::full()).0
-}
-
-/// Everything [`collect_memory_sharded_streaming`] derives from the
-/// configuration before any simulation runs. Units reference designs by
+/// Everything the memory experiment's
+/// [`collect_streaming`](ExperimentConfig::collect_streaming) derives from
+/// the configuration before any simulation runs. Units reference designs by
 /// index into `archs` so the struct owns all of its data.
 struct MemPreparedPass {
     suite: Vec<perfbug_workloads::BenchmarkSpec>,
     archs: Vec<MemArchConfig>,
-    units: Vec<(usize, Option<usize>)>,
-    train_units: Vec<usize>,
-    val_units: Vec<usize>,
-    key_units: Vec<usize>,
-    keys: Vec<RunKey>,
+    grid: SimGrid,
     programs: Vec<Program>,
     probes: Vec<(usize, Probe)>,
 }
@@ -124,49 +110,16 @@ fn prepare_mem_pass(config: &MemCollectionConfig) -> MemPreparedPass {
         "collection needs at least one engine"
     );
     let archs = memsim::config::all();
-    let train: Vec<usize> = (0..archs.len())
-        .filter(|&i| archs[i].set == memsim::ArchSet::I)
-        .collect();
-    let eval: Vec<usize> = (0..archs.len())
-        .filter(|&i| archs[i].set != memsim::ArchSet::I)
-        .collect();
-
-    // The simulation-unit grid: Set-I bug-free runs first, then per
-    // evaluation design its bug-free reference run (shared between
-    // stage-1 validation and the bug-free key — the previous
-    // implementation simulated Set-II designs twice) and its bug runs.
-    let mut units: Vec<(usize, Option<usize>)> = Vec::new();
-    let mut train_units = Vec::new();
-    for &ai in &train {
-        train_units.push(units.len());
-        units.push((ai, None));
-    }
-    let mut val_units = Vec::new();
-    let mut key_units = Vec::new();
-    let mut keys = Vec::new();
-    for &ai in &eval {
-        let arch = &archs[ai];
-        let bugfree_unit = units.len();
-        units.push((ai, None));
-        if arch.set == memsim::ArchSet::II {
-            val_units.push(bugfree_unit);
-        }
-        key_units.push(bugfree_unit);
-        keys.push(RunKey {
-            arch: arch.name.clone(),
-            set: mem_set(arch.set),
-            bug: None,
+    let train = (0..archs.len()).filter(|&i| archs[i].set == memsim::ArchSet::I);
+    let eval = archs
+        .iter()
+        .enumerate()
+        .filter(|(_, arch)| arch.set != memsim::ArchSet::I)
+        .map(|(i, arch)| {
+            let validates = arch.set == memsim::ArchSet::II;
+            (i, arch.name.as_str(), mem_set(arch.set), validates)
         });
-        for i in 0..config.catalog.len() {
-            key_units.push(units.len());
-            units.push((ai, Some(i)));
-            keys.push(RunKey {
-                arch: arch.name.clone(),
-                set: mem_set(arch.set),
-                bug: Some(i),
-            });
-        }
-    }
+    let grid = SimGrid::build(train, eval, config.catalog.len());
 
     // Probes from the 22-SimPoint memory suite.
     let suite = memsim::memory_suite();
@@ -185,159 +138,99 @@ fn prepare_mem_pass(config: &MemCollectionConfig) -> MemPreparedPass {
     MemPreparedPass {
         suite,
         archs,
-        units,
-        train_units,
-        val_units,
-        key_units,
-        keys,
+        grid,
         programs,
         probes,
     }
 }
 
 /// Derives the [`PassIdentity`] of a memory configuration without
-/// simulating anything (the memory sibling of
-/// [`crate::experiment::pass_identity`]). The identity's catalogue is the
-/// core-shaped mirror ([`mem_catalog_as_core`]), matching what
-/// [`collect_memory`] stores in its collections.
+/// simulating anything ([`ExperimentConfig::pass_identity`]). The
+/// identity's catalogue is the core-shaped mirror
+/// ([`mem_catalog_as_core`]), matching what
+/// [`collect`](crate::experiment::collect) stores in memory collections.
 ///
 /// # Panics
 ///
-/// As [`collect_memory`].
+/// As [`collect`](crate::experiment::collect).
 pub fn mem_pass_identity(config: &MemCollectionConfig) -> PassIdentity {
     let pass = prepare_mem_pass(config);
     PassIdentity {
-        keys: pass.keys.clone(),
+        keys: pass.grid.keys,
         engine_names: config.engines.iter().map(|e| e.name()).collect(),
         catalog: mem_catalog_as_core(&config.catalog),
         total_probes: pass.probes.len(),
     }
 }
 
-/// The streaming heart of sharded memory collection (the memory sibling
-/// of [`crate::experiment::collect_sharded_streaming`]): runs the probes
-/// of `shard`, skipping the first `skip`, and hands each probe's
-/// metadata and output to `sink` in strictly increasing probe order.
-/// Returns the total probe count of the full pass.
-///
-/// # Panics
-///
-/// As [`collect_memory`]; a shard may own zero probes.
-pub fn collect_memory_sharded_streaming<E>(
-    config: &MemCollectionConfig,
-    shard: exec::ShardSpec,
-    skip: usize,
-    mut sink: impl FnMut(ProbeMeta, exec::ProbeOutput) -> Result<(), E>,
-) -> Result<usize, E> {
-    let pass = prepare_mem_pass(config);
+impl ExperimentConfig for MemCollectionConfig {
+    const KIND: ExperimentKind = ExperimentKind::Memory;
 
-    // Probe setup consults the persistent trace store before regenerating
-    // any trace — gated on the PERFBUG_TRACE_DIR knob and on every
-    // catalogue variant being trace-invariant, so a future
-    // stream-perturbing family degrades to the uncached path instead of
-    // replaying a trace it invalidates.
-    let store = TraceStore::from_env().filter(|_| config.catalog.trace_invariant());
-    let traces = TraceProvider::new(store, &pass.suite, config.workload);
+    fn fingerprint(&self) -> u64 {
+        crate::persist::mem_config_fingerprint(self)
+    }
 
-    // The shared unit-grid driver runs the same three-phase pipeline as
-    // the core experiment; only the simulator and the counter-selection
-    // policy differ, and the memory experiment captures no series.
-    let unit_grid = exec::UnitGrid {
-        n_units: pass.units.len(),
-        train_units: pass.train_units.clone(),
-        val_units: pass.val_units.clone(),
-        key_units: pass.key_units.clone(),
-    };
-    exec::collect_unit_grid_streaming(
-        pass.probes.len(),
-        config.threads,
-        shard,
-        skip,
-        &unit_grid,
-        &config.engines,
-        |pi| {
-            let (bi, probe) = &pass.probes[pi];
-            traces.trace(probe, &pass.programs[*bi])
-        },
-        |trace: &Vec<perfbug_workloads::Inst>, u| {
-            let (ai, bug_idx) = pass.units[u];
-            let bug = bug_idx.map(|i| config.catalog.variants()[i]);
-            mem_run(config, &pass.archs[ai], bug, trace)
-        },
-        |_pi, sims| FeatureSpec {
-            selected: select_mem_counters(config, sims, &pass.train_units),
-            arch_features: true,
-            window: 1,
-        },
-        |_, _, _, _, _| None,
-        |pi, output| {
-            let (_, probe) = &pass.probes[pi];
-            sink(
-                ProbeMeta {
-                    id: probe.id(),
-                    benchmark: probe.benchmark.clone(),
-                    weight: probe.weight,
-                },
-                output,
-            )
-        },
-    )?;
-    Ok(pass.probes.len())
-}
+    fn pass_identity(&self) -> PassIdentity {
+        mem_pass_identity(self)
+    }
 
-/// Runs one shard of the memory collection pass (the memory-experiment
-/// sibling of [`crate::experiment::collect_sharded`]): only the probes in
-/// `shard.probe_range(total)` run, the returned partial [`Collection`]
-/// covers exactly that range, and the second value is the full pass's
-/// total probe count for the persistence manifest.
-///
-/// # Panics
-///
-/// As [`collect_memory`]; a shard may own zero probes.
-pub fn collect_memory_sharded(
-    config: &MemCollectionConfig,
-    shard: exec::ShardSpec,
-) -> (Collection, usize) {
-    let identity = mem_pass_identity(config);
-    let mut col = Collection {
-        keys: identity.keys,
-        probes: Vec::new(),
-        engines: identity
-            .engine_names
-            .into_iter()
-            .map(|name| EngineResult {
-                name,
-                deltas: Vec::new(),
-                train_time: Duration::ZERO,
-                infer_time: Duration::ZERO,
-            })
-            .collect(),
-        overall_ipc: Vec::new(),
-        agg_features: Vec::new(),
-        captures: Vec::new(),
-        catalog: identity.catalog,
-    };
-    let total = {
-        let col = &mut col;
-        let result: Result<usize, std::convert::Infallible> =
-            collect_memory_sharded_streaming(config, shard, 0, |meta, po| {
-                col.probes.push(meta);
-                col.overall_ipc.push(po.overall);
-                col.agg_features.push(po.agg);
-                for (engine, o) in col.engines.iter_mut().zip(po.engines) {
-                    engine.deltas.push(o.deltas);
-                    engine.train_time += o.train_time;
-                    engine.infer_time += o.infer_time;
-                    col.captures.extend(o.captures);
-                }
-                Ok(())
-            });
-        match result {
-            Ok(total) => total,
-            Err(never) => match never {},
-        }
-    };
-    (col, total)
+    fn collect_streaming<E>(
+        &self,
+        shard: exec::ShardSpec,
+        skip: usize,
+        mut sink: impl FnMut(ProbeMeta, exec::ProbeOutput) -> Result<(), E>,
+    ) -> Result<usize, E> {
+        let config = self;
+        let pass = prepare_mem_pass(config);
+
+        // Probe setup consults the persistent trace store before
+        // regenerating any trace — gated on the PERFBUG_TRACE_DIR knob and
+        // on every catalogue variant being trace-invariant, so a future
+        // stream-perturbing family degrades to the uncached path instead
+        // of replaying a trace it invalidates.
+        let store = TraceStore::from_env().filter(|_| config.catalog.trace_invariant());
+        let traces = TraceProvider::new(store, &pass.suite, config.workload);
+
+        // The shared unit-grid driver runs the same three-phase pipeline
+        // as the core experiment; only the simulator and the
+        // counter-selection policy differ, and the memory experiment
+        // captures no series.
+        exec::collect_unit_grid_streaming(
+            pass.probes.len(),
+            config.threads,
+            shard,
+            skip,
+            &pass.grid.roles,
+            &config.engines,
+            |pi| {
+                let (bi, probe) = &pass.probes[pi];
+                traces.trace(probe, &pass.programs[*bi])
+            },
+            |trace: &Vec<perfbug_workloads::Inst>, u| {
+                let (ai, bug_idx) = pass.grid.units[u];
+                let bug = bug_idx.map(|i| config.catalog.variants()[i]);
+                mem_run(config, &pass.archs[ai], bug, trace)
+            },
+            |_pi, sims| FeatureSpec {
+                selected: select_mem_counters(config, sims, &pass.grid.roles.train_units),
+                arch_features: true,
+                window: 1,
+            },
+            |_, _, _, _, _| None,
+            |pi, output| {
+                let (_, probe) = &pass.probes[pi];
+                sink(
+                    ProbeMeta {
+                        id: probe.id(),
+                        benchmark: probe.benchmark.clone(),
+                        weight: probe.weight,
+                    },
+                    output,
+                )
+            },
+        )?;
+        Ok(pass.probes.len())
+    }
 }
 
 /// Simulates one memory run and shapes it for stage 1.
@@ -400,8 +293,9 @@ fn select_mem_counters(
 }
 
 /// Mirrors a memory catalogue into core-bug placeholders so the shared
-/// [`Collection`] evaluation (which consults type ids and names) works
-/// unchanged. The mapping preserves type ids (1–8) and variant order.
+/// [`Collection`](crate::experiment::Collection) evaluation (which
+/// consults type ids and names) works unchanged. The mapping preserves
+/// type ids (1–8) and variant order.
 pub fn mem_catalog_as_core(catalog: &MemBugCatalog) -> BugCatalog {
     use perfbug_uarch::BugSpec;
     // Type ids must match the memory catalogue's variant-to-type mapping;
@@ -448,7 +342,7 @@ pub fn mem_variant_names(catalog: &MemBugCatalog) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::evaluate_two_stage;
+    use crate::experiment::{collect, collect_sharded, evaluate_two_stage};
     use crate::stage2::Stage2Params;
     use perfbug_ml::GbtParams;
 
@@ -470,7 +364,7 @@ mod tests {
     #[test]
     fn memory_collection_shapes() {
         let config = tiny_mem_config();
-        let col = collect_memory(&config);
+        let col = collect(&config);
         assert_eq!(col.probes.len(), 5);
         // 7 non-Set-I designs x (1 + 10 bugs).
         assert_eq!(col.keys.len(), 7 * 11);
@@ -480,7 +374,7 @@ mod tests {
     #[test]
     fn memory_detection_runs_end_to_end() {
         let config = tiny_mem_config();
-        let col = collect_memory(&config);
+        let col = collect(&config);
         let eval = evaluate_two_stage(&col, 0, Stage2Params::default());
         assert!(eval.metrics.roc_auc >= 0.0);
         assert_eq!(eval.folds.len(), 6); // six memory bug types
@@ -493,12 +387,12 @@ mod tests {
             CORPUS_REVISION,
         };
         let config = tiny_mem_config();
-        let mut full = collect_memory(&config);
+        let mut full = collect(&config);
         let fingerprint = mem_config_fingerprint(&config);
         let parts: Vec<_> = (0..2)
             .map(|index| {
                 let shard = exec::ShardSpec::new(index, 2);
-                let (col, total) = collect_memory_sharded(&config, shard);
+                let (col, total) = collect_sharded(&config, shard);
                 let header = FileHeader {
                     kind: ExperimentKind::Memory,
                     corpus_revision: CORPUS_REVISION,

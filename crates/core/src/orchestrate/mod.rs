@@ -1,19 +1,18 @@
 //! Shard orchestration: a fault-tolerant process-pool driver for sharded
 //! collection passes.
 //!
-//! PR 3 made collection shardable (`exec::ShardSpec`, one `.pbcol` shard
-//! file per worker, `persist::merge_collections` reassembly), but shards
-//! still had to be launched and babysat by hand — one
-//! `PERFBUG_SHARD=<i>/<n>` invocation per terminal. This module is the
-//! *driver* for that workflow:
+//! Collection is shardable (`exec::ShardSpec`, one `.pbcol` shard file
+//! per worker, streaming reassembly by `persist::load_or_assemble`), and
+//! this module is the one way to launch a sharded pass — the *driver*
+//! that launches and supervises the shard workers:
 //!
 //! * the probe axis is partitioned into **more shards than workers** and
 //!   fed through a work queue (not static assignment), so a slow or lost
 //!   worker only delays its current shard, never a fixed fraction of the
 //!   pass;
 //! * shard workers run as **child processes** (re-invocations of the
-//!   current binary with `PERFBUG_SHARD`-style arguments — see
-//!   [`ProcessLauncher`] and the `pborch` binary in `crates/bench`);
+//!   current binary with a shard argument — see [`ProcessLauncher`] and
+//!   the `pborch` binary in `crates/bench`);
 //! * the supervisor monitors exit status, verifies each claimed success
 //!   by decoding the shard file it should have produced (the shard file
 //!   *is* the heartbeat — a worker that exits 0 without its file on disk
@@ -22,9 +21,11 @@
 //!   workers** with a bounded per-shard retry budget; a shard that
 //!   exhausts its budget lands on the exclusion list and the run is
 //!   reported as failed (never silently partial);
-//! * the finished pass is assembled through the existing
-//!   [`merge_collections`](crate::persist::merge_collections) path, so
-//!   the result is bit-identical (wall-clock timings aside) to a
+//! * the finished pass is assembled by
+//!   [`load_or_assemble`](crate::persist::load_or_assemble), which
+//!   streams the shard files into the full file through
+//!   [`merge_shard_files`](crate::persist::merge_shard_files), so the
+//!   result is bit-identical (wall-clock timings aside) to a
 //!   single-process collection **for any schedule of worker losses** —
 //!   shard workers write atomically (temp file + rename, see
 //!   `docs/FORMAT.md`), so a killed worker can never leave a partial
@@ -60,6 +61,7 @@ use crate::experiment::Collection;
 use crate::persist::{
     self, cache_file_name, shard_file_name, CacheStatus, ExperimentKind, PersistError,
 };
+use crate::report::json_str;
 
 /// Environment variable holding injected orchestrator faults.
 pub const FAULT_ENV: &str = "PERFBUG_ORCH_FAULT";
@@ -584,25 +586,6 @@ impl RunReport {
             if self.success { "success" } else { "FAILED" }
         )
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control characters).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 // --------------------------------------------------------------------------
@@ -1474,11 +1457,6 @@ mod tests {
         assert!(json.contains("\"detail\": \"exit code 7\""));
         assert!(json.contains("\"excluded_shards\": []"));
         assert!(json.contains("\"success\": true"));
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 
     #[test]

@@ -25,20 +25,20 @@
 //!   than silently reused;
 //! * a [`ShardManifest`] — which contiguous probe range of the full pass
 //!   this file covers. Full single-process files cover `0..total` in one
-//!   shard; a sharded pass (`experiment::collect_sharded` on `count`
-//!   processes) writes `count` shard files that [`merge_collections`]
-//!   reassembles into the single-process collection after validating
+//!   shard; a sharded pass ([`collect_shard_or_resume`] on `count`
+//!   processes) writes `count` shard files that [`merge_shard_files`]
+//!   concatenates into the single-process file after validating
 //!   disjoint, complete coverage and matching identity fields;
 //! * a trailing FNV-1a checksum over the whole header + payload —
 //!   truncated or corrupted files fail with [`PersistError::Corrupt`].
 //!
-//! [`collect_or_load`] / [`collect_memory_or_load`] are the front doors:
-//! they replay a saved collection when the cache file exists, assemble it
-//! from a complete set of shard files in the same directory when one is
-//! not, and collect (then save) otherwise. Shard workers use
-//! [`collect_shard_or_load`] / [`collect_memory_shard_or_load`]. Pair
-//! them with [`cache_file_name`] / [`shard_file_name`], which embed the
-//! experiment kind and the fingerprint in the file name so distinct
+//! [`collect_or_load`] is the front door, generic over the experiment
+//! ([`ExperimentConfig`]): it replays a saved collection when the cache
+//! file exists, assembles it from a complete set of shard files in the
+//! same directory when one is not ([`load_or_assemble`]), and collects
+//! (then saves) otherwise. Shard workers use [`collect_shard_or_resume`].
+//! Pair them with [`cache_file_name`] / [`shard_file_name`], which embed
+//! the experiment kind and the fingerprint in the file name so distinct
 //! configurations — and the core and memory experiments sharing one cache
 //! directory — can never collide on one path.
 
@@ -59,7 +59,7 @@ use perfbug_workloads::Opcode;
 
 use crate::bugs::BugCatalog;
 use crate::experiment::{
-    CapturedSeries, Collection, CollectionConfig, EngineResult, ProbeMeta, RunKey,
+    CapturedSeries, Collection, CollectionConfig, EngineResult, ExperimentConfig, ProbeMeta, RunKey,
 };
 use crate::memory::MemCollectionConfig;
 
@@ -106,9 +106,9 @@ pub const FILE_EXTENSION: &str = "pbcol";
 /// experiments can share one `PERFBUG_CACHE_DIR` without colliding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExperimentKind {
-    /// The out-of-order core experiment (`experiment::collect`).
+    /// The out-of-order core experiment ([`CollectionConfig`]).
     Core,
-    /// The cache-hierarchy experiment (`memory::collect_memory`).
+    /// The cache-hierarchy experiment ([`MemCollectionConfig`]).
     Memory,
 }
 
@@ -3042,17 +3042,16 @@ pub fn load_or_assemble(
     }
 }
 
-/// Front door for cached core collections: replays `path` when it exists
-/// (validating its fingerprint against `config` — a stale file is an
-/// error, never silently re-collected), assembles it from a complete set
-/// of sibling shard files when it does not, and otherwise runs
-/// [`collect`](crate::experiment::collect) and saves the result.
-pub fn collect_or_load(
+/// The collection front door: replays `path` when it exists (validating
+/// its fingerprint against `config` — a stale file is an error, never
+/// silently re-collected), assembles it from a complete set of sibling
+/// shard files when it does not, and otherwise collects and saves it.
+/// Generic over the experiment ([`ExperimentConfig`]).
+pub fn collect_or_load<C: ExperimentConfig>(
     path: &Path,
-    config: &CollectionConfig,
+    config: &C,
 ) -> Result<(Collection, CacheStatus), PersistError> {
-    let fingerprint = config_fingerprint(config);
-    if let Some(hit) = load_or_assemble(path, ExperimentKind::Core, fingerprint)? {
+    if let Some(hit) = load_or_assemble(path, C::KIND, config.fingerprint())? {
         return Ok(hit);
     }
     // Collect through the resumable streaming writer even for a full
@@ -3062,17 +3061,13 @@ pub fn collect_or_load(
     Ok((outcome.collection, outcome.status))
 }
 
-/// [`collect_or_load`] for the memory experiment.
+/// [`collect_or_load`] for the memory experiment. Kept as a named entry
+/// point because the out-of-workspace benchmark (`perfbench/`) calls it.
 pub fn collect_memory_or_load(
     path: &Path,
     config: &MemCollectionConfig,
 ) -> Result<(Collection, CacheStatus), PersistError> {
-    let fingerprint = mem_config_fingerprint(config);
-    if let Some(hit) = load_or_assemble(path, ExperimentKind::Memory, fingerprint)? {
-        return Ok(hit);
-    }
-    let outcome = collect_memory_shard_or_resume(path, config, crate::exec::ShardSpec::full())?;
-    Ok((outcome.collection, outcome.status))
+    collect_or_load(path, config)
 }
 
 /// How a shard-worker front door obtained its collection, plus how much
@@ -3088,72 +3083,69 @@ pub struct ShardOutcome {
     pub resumed_probes: u64,
 }
 
-/// Shard-worker front door for the core experiment: replays the shard
-/// file for `shard` when it exists (validating fingerprint and manifest);
-/// otherwise collects the shard through a [`ShardStreamWriter`] —
-/// resuming from a crashed attempt's durable part-file prefix when one
-/// exists — and finally replays the finished file as its validation
-/// pass. `path` is the shard file itself (see [`shard_file_name`]).
-pub fn collect_shard_or_resume(
+/// The shard-worker front door: replays the shard file for `shard` when
+/// it exists (validating fingerprint and manifest); otherwise collects
+/// the shard through a [`ShardStreamWriter`] — resuming from a crashed
+/// attempt's durable part-file prefix when one exists — and finally
+/// replays the finished file as its validation pass. `path` is the shard
+/// file itself (see [`shard_file_name`]).
+pub fn collect_shard_or_resume<C: ExperimentConfig>(
     path: &Path,
-    config: &CollectionConfig,
+    config: &C,
     shard: crate::exec::ShardSpec,
 ) -> Result<ShardOutcome, PersistError> {
-    let fingerprint = config_fingerprint(config);
-    collect_shard_streaming_impl(
-        path,
-        ExperimentKind::Core,
+    let fingerprint = config.fingerprint();
+    match fs::read(path) {
+        Ok(bytes) => {
+            let (col, header) = decode_collection_with(&bytes, Some(fingerprint))?;
+            if header.manifest.index as usize != shard.index
+                || header.manifest.count as usize != shard.count
+            {
+                return Err(PersistError::Shard(format!(
+                    "{} holds {}, expected shard {}/{}",
+                    path.display(),
+                    header.manifest,
+                    shard.index,
+                    shard.count
+                )));
+            }
+            return Ok(ShardOutcome {
+                collection: col,
+                status: CacheStatus::Replayed,
+                resumed_probes: 0,
+            });
+        }
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        Err(e) => return Err(e.into()),
+    }
+    let identity = config.pass_identity();
+    let header = FileHeader {
+        kind: C::KIND,
+        corpus_revision: CORPUS_REVISION,
         fingerprint,
-        shard,
-        || crate::experiment::pass_identity(config),
-        |skip, writer| {
-            crate::experiment::collect_sharded_streaming(config, shard, skip, |meta, output| {
-                append_probe_output(writer, meta, output)
-            })
-            .map(|_| ())
-        },
-    )
-}
-
-/// [`collect_shard_or_resume`] for the memory experiment.
-pub fn collect_memory_shard_or_resume(
-    path: &Path,
-    config: &MemCollectionConfig,
-    shard: crate::exec::ShardSpec,
-) -> Result<ShardOutcome, PersistError> {
-    let fingerprint = mem_config_fingerprint(config);
-    collect_shard_streaming_impl(
+        manifest: ShardManifest::of(shard, identity.total_probes),
+    };
+    let mut writer = ShardStreamWriter::create_or_resume(
         path,
-        ExperimentKind::Memory,
-        fingerprint,
-        shard,
-        || crate::memory::mem_pass_identity(config),
-        |skip, writer| {
-            crate::memory::collect_memory_sharded_streaming(config, shard, skip, |meta, output| {
-                append_probe_output(writer, meta, output)
-            })
-            .map(|_| ())
-        },
-    )
-}
-
-/// [`collect_shard_or_resume`] flattened to the legacy `(Collection,
-/// CacheStatus)` shape, for callers indifferent to resume accounting.
-pub fn collect_shard_or_load(
-    path: &Path,
-    config: &CollectionConfig,
-    shard: crate::exec::ShardSpec,
-) -> Result<(Collection, CacheStatus), PersistError> {
-    collect_shard_or_resume(path, config, shard).map(|o| (o.collection, o.status))
-}
-
-/// [`collect_shard_or_load`] for the memory experiment.
-pub fn collect_memory_shard_or_load(
-    path: &Path,
-    config: &MemCollectionConfig,
-    shard: crate::exec::ShardSpec,
-) -> Result<(Collection, CacheStatus), PersistError> {
-    collect_memory_shard_or_resume(path, config, shard).map(|o| (o.collection, o.status))
+        &header,
+        &identity.keys,
+        &identity.engine_names,
+        &identity.catalog,
+    )?;
+    let resumed = writer.resumed_probes();
+    config.collect_streaming(shard, resumed as usize, |meta, output| {
+        append_probe_output(&mut writer, meta, output)
+    })?;
+    writer.finish()?;
+    // Replaying the finished file is the validation pass: every chunk —
+    // recovered or fresh — decodes under the same checks a reader uses.
+    let bytes = fs::read(path)?;
+    let (collection, _) = decode_collection_with(&bytes, Some(fingerprint))?;
+    Ok(ShardOutcome {
+        collection,
+        status: CacheStatus::Collected,
+        resumed_probes: resumed,
+    })
 }
 
 /// Appends one streamed probe result to a shard writer: flattens the
@@ -3183,65 +3175,6 @@ pub fn append_probe_output(
         captures,
     };
     writer.append_probe(&rec, &times)
-}
-
-fn collect_shard_streaming_impl(
-    path: &Path,
-    kind: ExperimentKind,
-    fingerprint: u64,
-    shard: crate::exec::ShardSpec,
-    identity: impl FnOnce() -> crate::experiment::PassIdentity,
-    collect_fn: impl FnOnce(usize, &mut ShardStreamWriter) -> Result<(), PersistError>,
-) -> Result<ShardOutcome, PersistError> {
-    match fs::read(path) {
-        Ok(bytes) => {
-            let (col, header) = decode_collection_with(&bytes, Some(fingerprint))?;
-            if header.manifest.index as usize != shard.index
-                || header.manifest.count as usize != shard.count
-            {
-                return Err(PersistError::Shard(format!(
-                    "{} holds {}, expected shard {}/{}",
-                    path.display(),
-                    header.manifest,
-                    shard.index,
-                    shard.count
-                )));
-            }
-            return Ok(ShardOutcome {
-                collection: col,
-                status: CacheStatus::Replayed,
-                resumed_probes: 0,
-            });
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e.into()),
-    }
-    let identity = identity();
-    let header = FileHeader {
-        kind,
-        corpus_revision: CORPUS_REVISION,
-        fingerprint,
-        manifest: ShardManifest::of(shard, identity.total_probes),
-    };
-    let mut writer = ShardStreamWriter::create_or_resume(
-        path,
-        &header,
-        &identity.keys,
-        &identity.engine_names,
-        &identity.catalog,
-    )?;
-    let resumed = writer.resumed_probes();
-    collect_fn(resumed as usize, &mut writer)?;
-    writer.finish()?;
-    // Replaying the finished file is the validation pass: every chunk —
-    // recovered or fresh — decodes under the same checks a reader uses.
-    let bytes = fs::read(path)?;
-    let (collection, _) = decode_collection_with(&bytes, Some(fingerprint))?;
-    Ok(ShardOutcome {
-        collection,
-        status: CacheStatus::Collected,
-        resumed_probes: resumed,
-    })
 }
 
 #[cfg(test)]

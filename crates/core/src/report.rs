@@ -1,4 +1,5 @@
-//! Plain-text table and series formatting shared by the bench harness.
+//! Plain-text table and series formatting shared by the bench harness, and
+//! the JSON string escaper shared by every hand-written JSON report.
 
 /// A simple left-aligned text table.
 #[derive(Debug, Clone, Default)]
@@ -86,6 +87,30 @@ pub fn series(name: &str, values: &[f64]) -> String {
     out
 }
 
+/// Quotes `s` as a JSON string: escapes quotes and backslashes, writes
+/// `\n`, `\r` and `\t` in their short forms and every other control
+/// character as `\u00XX`. The workspace's one escaper: the orchestrator's
+/// run report, the service's wire messages and `pbeval`'s report all use
+/// it (`pblint` keeps its own copy because it does not depend on this
+/// crate).
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// Summary statistics of a sample: (mean, standard deviation, median,
 /// 90th percentile).
 ///
@@ -115,6 +140,12 @@ pub fn stats(sample: &[f64]) -> (f64, f64, f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_escaping() {
+        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_str("\r\t\u{1}"), "\"\\r\\t\\u0001\"");
+    }
 
     #[test]
     fn table_renders_aligned() {

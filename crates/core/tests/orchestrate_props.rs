@@ -5,7 +5,7 @@
 //! bounded.
 //!
 //! Workers here run the real shard-collection path in-process (the fake
-//! launcher calls `collect_shard_or_load`); "killed" attempts write only
+//! launcher calls `collect_shard_or_resume`); "killed" attempts write only
 //! a junk in-flight temp file — exactly what a worker killed mid-`save`
 //! leaves behind — and report a signal death to the supervisor.
 
@@ -24,7 +24,7 @@ use perfbug_core::orchestrate::{
     WorkerHandle,
 };
 use perfbug_core::persist::{
-    self, collect_shard_or_load, config_fingerprint, encode_collection, is_temp_file_name,
+    self, collect_shard_or_resume, config_fingerprint, encode_collection, is_temp_file_name,
     load_or_assemble, CacheStatus, ExperimentKind,
 };
 use perfbug_core::stage1::EngineSpec;
@@ -118,7 +118,7 @@ impl Launcher for CollectLauncher<'_> {
             return Ok(DoneHandle { killed: true });
         }
         let path = self.plan.shard_path(shard);
-        collect_shard_or_load(&path, self.config, shard)
+        collect_shard_or_resume(&path, self.config, shard)
             .map_err(|e| io::Error::other(format!("shard collection: {e}")))?;
         Ok(DoneHandle { killed: false })
     }

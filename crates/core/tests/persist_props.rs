@@ -1,24 +1,30 @@
 //! Property and integration tests for collection persistence: round-trip
 //! identity, corrupt/truncated-file rejection, version and fingerprint
-//! validation, and the `collect_or_load` replay front door on a real
-//! collected corpus.
+//! validation, and the on-disk front doors (`collect_or_load`,
+//! `collect_shard_or_resume`, `load_or_assemble`) on a real collected
+//! corpus of each experiment.
 
+use std::path::Path;
 use std::time::Duration;
 
 use perfbug_core::bugs::BugCatalog;
 use perfbug_core::experiment::{
-    collect, CapturedSeries, Collection, CollectionConfig, EngineResult, ProbeMeta, ProbeScale,
-    RunKey,
+    collect, CapturedSeries, Collection, CollectionConfig, EngineResult, ExperimentConfig,
+    ProbeMeta, ProbeScale, RunKey,
 };
+use perfbug_core::memory::{MemCollectionConfig, TargetMetric};
 use perfbug_core::persist::{
-    cache_file_name, collect_or_load, config_fingerprint, decode_collection, encode_collection,
-    load_collection, parse_cache_file_name, save_collection, shard_file_name, CacheStatus,
-    ExperimentKind, PersistError, FORMAT_VERSION, LEGACY_FORMAT_VERSION,
+    cache_file_name, collect_or_load, collect_shard_or_resume, decode_collection,
+    decode_collection_with, encode_collection, encode_collection_with, load_collection,
+    load_or_assemble, parse_cache_file_name, save_collection_with, shard_file_name, CacheStatus,
+    ExperimentKind, FileHeader, PersistError, ShardManifest, CORPUS_REVISION, FORMAT_VERSION,
+    LEGACY_FORMAT_VERSION,
 };
 use perfbug_core::stage1::EngineSpec;
+use perfbug_core::ShardSpec;
 use perfbug_ml::GbtParams;
 use perfbug_uarch::{ArchSet, BugSpec};
-use perfbug_workloads::{benchmark, Opcode};
+use perfbug_workloads::{benchmark, Opcode, WorkloadScale};
 use proptest::prelude::*;
 
 /// Builds a structurally valid collection from fuzzed dimensions and
@@ -319,28 +325,55 @@ fn tiny_config() -> CollectionConfig {
     config
 }
 
-// One test (not two) on purpose: the replay assertion samples the
-// process-global `exec::simulations_run()` counter, and a sibling test
-// collecting concurrently in the same binary would move it inside the
-// assertion window.
-#[test]
-fn real_collection_round_trips_and_replays_without_simulating() {
-    let config = tiny_config();
-    let fp = config_fingerprint(&config);
-    let dir = std::env::temp_dir().join(format!("perfbug-persist-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+fn tiny_mem_config() -> MemCollectionConfig {
+    let mut config = MemCollectionConfig::new(
+        vec![EngineSpec::Gbt(GbtParams {
+            n_trees: 25,
+            ..GbtParams::default()
+        })],
+        TargetMetric::Amat,
+    );
+    config.workload = WorkloadScale::tiny();
+    config.step_cycles = 300;
+    config.max_probes = Some(3);
+    config.threads = 2;
+    config
+}
+
+/// A file's collection with its wall-clock timings zeroed, re-encoded
+/// under the file's own header: the bytes every corpus-identity guard
+/// compares.
+fn timing_free_bytes(path: &Path) -> Vec<u8> {
+    let bytes = std::fs::read(path).expect("read corpus file");
+    let (mut col, header) = decode_collection_with(&bytes, None).expect("decode corpus file");
+    col.zero_timings();
+    encode_collection_with(&col, &header)
+}
+
+/// Drives one experiment through the on-disk front doors: save/load
+/// identity, stale-fingerprint rejection, a cold `collect_or_load` that
+/// collects, a warm one that replays without simulating, and a 2-shard
+/// pass through `collect_shard_or_resume` + `load_or_assemble` that
+/// assembles the single-process file.
+fn front_door_round_trip<C: ExperimentConfig>(config: &C, stale: &C, dir: &Path) {
+    let fp = config.fingerprint();
+    let file = |prefix: &str| dir.join(cache_file_name(prefix, C::KIND, fp));
 
     // save -> load is the identity on a real collected corpus.
-    let col = collect(&config);
-    let path = dir.join(cache_file_name("round-trip", ExperimentKind::Core, fp));
-    save_collection(&path, &col, fp).expect("save");
+    let col = collect(config);
+    let path = file("round-trip");
+    let header = FileHeader {
+        kind: C::KIND,
+        corpus_revision: CORPUS_REVISION,
+        fingerprint: fp,
+        manifest: ShardManifest::full(col.probes.len()),
+    };
+    save_collection_with(&path, &col, &header).expect("save");
     let loaded = load_collection(&path, fp).expect("load");
     assert_eq!(loaded, col, "collection must replay byte-identically");
 
     // A changed configuration fingerprint must reject the cache.
-    let mut stale = config.clone();
-    stale.arch_features = !config.arch_features;
-    let stale_fp = config_fingerprint(&stale);
+    let stale_fp = stale.fingerprint();
     assert_ne!(stale_fp, fp);
     assert!(matches!(
         load_collection(&path, stale_fp),
@@ -349,14 +382,13 @@ fn real_collection_round_trips_and_replays_without_simulating() {
 
     // The collect_or_load front door: cold pass collects and saves, warm
     // pass replays without touching the simulator.
-    let front = dir.join(cache_file_name("front-door", ExperimentKind::Core, fp));
-    let _ = std::fs::remove_file(&front);
-    let (cold, status) = collect_or_load(&front, &config).expect("cold pass");
+    let front = file("front-door");
+    let (cold, status) = collect_or_load(&front, config).expect("cold pass");
     assert_eq!(status, CacheStatus::Collected);
     assert!(front.exists());
 
     let sims_before = perfbug_core::exec::simulations_run();
-    let (warm, status) = collect_or_load(&front, &config).expect("warm pass");
+    let (warm, status) = collect_or_load(&front, config).expect("warm pass");
     assert_eq!(status, CacheStatus::Replayed);
     assert_eq!(
         perfbug_core::exec::simulations_run(),
@@ -365,7 +397,46 @@ fn real_collection_round_trips_and_replays_without_simulating() {
     );
     assert_eq!(warm, cold);
 
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&front);
-    let _ = std::fs::remove_dir(&dir);
+    // Two shard workers, then assembly: the merged file is the
+    // single-process file (timings zeroed).
+    for index in 0..2 {
+        let shard = ShardSpec::new(index, 2);
+        let shard_path = dir.join(shard_file_name("sharded", C::KIND, fp, index, 2));
+        let outcome = collect_shard_or_resume(&shard_path, config, shard).expect("shard pass");
+        assert_eq!(outcome.status, CacheStatus::Collected);
+    }
+    let assembled = file("sharded");
+    let (merged, status) = load_or_assemble(&assembled, C::KIND, fp)
+        .expect("assemble")
+        .expect("complete shard set");
+    assert_eq!(status, CacheStatus::Assembled);
+    assert_eq!(merged.probes, cold.probes);
+    assert_eq!(
+        timing_free_bytes(&assembled),
+        timing_free_bytes(&front),
+        "assembled corpus must equal the single-process one"
+    );
+}
+
+// One test (not two) on purpose: the replay assertion samples the
+// process-global `exec::simulations_run()` counter, and a sibling test
+// collecting concurrently in the same binary would move it inside the
+// assertion window. The same generic body runs both experiments.
+#[test]
+fn real_collection_round_trips_and_replays_without_simulating() {
+    let dir = std::env::temp_dir().join(format!("perfbug-persist-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+
+    let core = tiny_config();
+    let mut stale = core.clone();
+    stale.arch_features = !core.arch_features;
+    front_door_round_trip(&core, &stale, &dir);
+
+    let memory = tiny_mem_config();
+    let mut stale = memory.clone();
+    stale.metric = TargetMetric::Ipc;
+    front_door_round_trip(&memory, &stale, &dir);
+
+    let _ = std::fs::remove_dir_all(&dir);
 }

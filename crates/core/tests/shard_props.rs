@@ -12,7 +12,7 @@ use perfbug_core::experiment::{
     collect, collect_sharded, CaptureSpec, Collection, CollectionConfig, ProbeScale,
 };
 use perfbug_core::persist::{
-    collect_shard_or_load, config_fingerprint, encode_collection, merge_collections, CacheStatus,
+    collect_shard_or_resume, config_fingerprint, encode_collection, merge_collections, CacheStatus,
     ExperimentKind, FileHeader, PersistError, ShardManifest, CORPUS_REVISION,
 };
 use perfbug_core::stage1::EngineSpec;
@@ -187,12 +187,12 @@ fn empty_shards_round_trip_through_files() {
     let shard = ShardSpec::new(6, 7);
     let path = dir.join("empty-shard.pbcol");
     let _ = std::fs::remove_file(&path);
-    let (col, status) = collect_shard_or_load(&path, &config, shard).expect("save empty shard");
-    assert_eq!(status, CacheStatus::Collected);
-    assert!(col.probes.is_empty());
-    let (back, status) = collect_shard_or_load(&path, &config, shard).expect("replay empty shard");
-    assert_eq!(status, CacheStatus::Replayed);
-    assert_eq!(back, col);
+    let saved = collect_shard_or_resume(&path, &config, shard).expect("save empty shard");
+    assert_eq!(saved.status, CacheStatus::Collected);
+    assert!(saved.collection.probes.is_empty());
+    let back = collect_shard_or_resume(&path, &config, shard).expect("replay empty shard");
+    assert_eq!(back.status, CacheStatus::Replayed);
+    assert_eq!(back.collection, saved.collection);
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_dir(&dir);
 }

@@ -12,7 +12,7 @@
 use perfbug_core::bugs::BugCatalog;
 use perfbug_core::exec;
 use perfbug_core::experiment::{collect, CollectionConfig, ProbeScale};
-use perfbug_core::memory::{collect_memory, MemCollectionConfig, TargetMetric};
+use perfbug_core::memory::{MemCollectionConfig, TargetMetric};
 use perfbug_core::persist::{config_fingerprint, mem_config_fingerprint, save_collection};
 use perfbug_core::stage1::EngineSpec;
 use perfbug_core::tracecache::TRACE_DIR_ENV;
@@ -58,13 +58,13 @@ fn warm_passes_regenerate_nothing_and_replay_byte_identical_corpora() {
     // Memory side: cold builds the store, warm replays it.
     let mem_config = tiny_mem_config();
     let before = exec::traces_regenerated();
-    let mut cold = collect_memory(&mem_config);
+    let mut cold = collect(&mem_config);
     assert!(
         exec::traces_regenerated() > before,
         "the cold pass must generate traces"
     );
     let before = exec::traces_regenerated();
-    let mut warm = collect_memory(&mem_config);
+    let mut warm = collect(&mem_config);
     assert_eq!(
         exec::traces_regenerated() - before,
         0,

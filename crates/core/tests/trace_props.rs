@@ -14,9 +14,8 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use perfbug_core::bugs::{BugCatalog, MemBugCatalog};
-use perfbug_core::memory::{
-    collect_memory, collect_memory_sharded, MemCollectionConfig, TargetMetric,
-};
+use perfbug_core::experiment::{collect, collect_sharded};
+use perfbug_core::memory::{MemCollectionConfig, TargetMetric};
 use perfbug_core::stage1::EngineSpec;
 use perfbug_core::tracecache::{
     encode_trace_file, trace_cache_rejections, trace_file_name, trace_fingerprint,
@@ -234,20 +233,20 @@ fn warm_collections_are_bit_identical_under_any_partition() {
 
     // Cold baseline: no trace store at all.
     std::env::remove_var(TRACE_DIR_ENV);
-    let mut baseline = collect_memory(&config);
+    let mut baseline = collect(&config);
     baseline.zero_timings();
 
     std::env::set_var(TRACE_DIR_ENV, &dir);
 
     // Warm, same partition.
-    let mut warm = collect_memory(&config);
+    let mut warm = collect(&config);
     warm.zero_timings();
     assert_eq!(warm, baseline, "warm full pass diverged");
 
     // Warm, different worker count.
     let mut serial = config.clone();
     serial.threads = 1;
-    let mut warm_serial = collect_memory(&serial);
+    let mut warm_serial = collect(&serial);
     warm_serial.zero_timings();
     assert_eq!(warm_serial, baseline, "warm single-threaded pass diverged");
 
@@ -256,7 +255,7 @@ fn warm_collections_are_bit_identical_under_any_partition() {
     for count in [2usize, 3] {
         let mut merged: Option<perfbug_core::Collection> = None;
         for index in 0..count {
-            let (mut shard, total) = collect_memory_sharded(&config, ShardSpec { index, count });
+            let (mut shard, total) = collect_sharded(&config, ShardSpec { index, count });
             shard.zero_timings();
             assert_eq!(total, baseline.probes.len());
             match merged.as_mut() {

@@ -98,11 +98,7 @@ pub const ENV_REGISTRY: &[EnvVar] = &[
     },
     EnvVar {
         name: "PERFBUG_SHARD",
-        purpose: "run a bench target as shard worker <i>/<n>",
-    },
-    EnvVar {
-        name: "PERFBUG_SHARD_ONLY",
-        purpose: "worker-protocol flag: collect the shard, skip assembly/evaluation",
+        purpose: "marks an orchestrated bench-target child as shard worker <i>/<n>",
     },
     EnvVar {
         name: "PERFBUG_ORCH_WORKERS",

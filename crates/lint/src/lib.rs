@@ -104,6 +104,8 @@ impl LintRun {
 }
 
 /// Minimal JSON string escaping (quotes, backslash, control characters).
+/// A copy of `perfbug_core::report::json_str`: the linter scans the
+/// workspace without depending on any of its crates.
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

@@ -27,9 +27,9 @@ use perfbug_bench::replay_demo_config;
 use perfbug_core::exec::{self, ShardSpec};
 use perfbug_core::experiment::{evaluate_two_stage, CollectionConfig};
 use perfbug_core::persist::{
-    cache_file_name, collect_or_load, collect_shard_or_load, collect_shard_or_resume,
-    config_fingerprint, load_collection, load_or_assemble, part_path_for, scan_part,
-    shard_file_name, CacheStatus, ExperimentKind, PersistError, ProbeReader,
+    cache_file_name, collect_or_load, collect_shard_or_resume, config_fingerprint, load_collection,
+    load_or_assemble, part_path_for, scan_part, shard_file_name, CacheStatus, ExperimentKind,
+    PersistError, ProbeReader,
 };
 use perfbug_core::stage2::Stage2Params;
 
@@ -124,11 +124,11 @@ fn main() {
             shards,
         ));
         let _ = std::fs::remove_file(&shard_path);
-        let (part, status) = collect_shard_or_load(&shard_path, &config, shard).expect("shard");
-        assert_eq!(status, CacheStatus::Collected);
+        let part = collect_shard_or_resume(&shard_path, &config, shard).expect("shard");
+        assert_eq!(part.status, CacheStatus::Collected);
         println!(
             "  shard {index}/{shards}: {} probes -> {}",
-            part.probes.len(),
+            part.collection.probes.len(),
             shard_path.display()
         );
     }
@@ -178,9 +178,9 @@ fn main() {
         0,
         shards,
     ));
-    let (intact, status) =
-        collect_shard_or_load(&shard0_path, &config, shard0).expect("shard 0 loads");
-    assert_eq!(status, CacheStatus::Replayed);
+    let replayed = collect_shard_or_resume(&shard0_path, &config, shard0).expect("shard 0 loads");
+    assert_eq!(replayed.status, CacheStatus::Replayed);
+    let intact = replayed.collection;
     let bytes = std::fs::read(&shard0_path).expect("shard 0 bytes");
     // On a finished file, scan_part recovers the full probe prefix (the
     // footer reads as a torn tail); cutting 9 more bytes tears into the

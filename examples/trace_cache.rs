@@ -16,7 +16,8 @@
 use std::time::Instant;
 
 use perfbug_core::exec;
-use perfbug_core::memory::{collect_memory, MemCollectionConfig, TargetMetric};
+use perfbug_core::experiment::collect;
+use perfbug_core::memory::{MemCollectionConfig, TargetMetric};
 use perfbug_core::persist::{mem_config_fingerprint, save_collection};
 use perfbug_core::stage1::EngineSpec;
 use perfbug_core::tracecache::{trace_cache_rejections, verify_trace_file, TRACE_DIR_ENV};
@@ -56,7 +57,7 @@ fn main() {
     );
     let regens_before = exec::traces_regenerated();
     let t0 = Instant::now();
-    let mut cold = collect_memory(&config);
+    let mut cold = collect(&config);
     let cold_time = t0.elapsed();
     let cold_regens = exec::traces_regenerated() - regens_before;
     println!(
@@ -73,7 +74,7 @@ fn main() {
     // counter must not move.
     let regens_before = exec::traces_regenerated();
     let t1 = Instant::now();
-    let mut warm = collect_memory(&config);
+    let mut warm = collect(&config);
     let warm_time = t1.elapsed();
     let regenerated = exec::traces_regenerated() - regens_before;
     println!("  warm pass in {warm_time:.2?} (cold pass took {cold_time:.2?})");
