@@ -3,7 +3,8 @@
 //! Trace-driven analogue of gem5's O3CPU at the resource granularity the
 //! paper's experiments exercise: a banked front end with branch prediction
 //! and an L1I, rename with a finite physical register file, an issue queue
-//! scheduled oldest-first onto Table III port/functional-unit pools, a
+//! whose producers wake their consumers and whose select picks ready
+//! entries oldest-first onto Table III port/functional-unit pools, a
 //! load/store path through a three-level cache hierarchy, and in-order
 //! commit from a re-order buffer. The fourteen bug types of §IV-C and
 //! extension families 15 (TLB page walk) and 16 (issue replay) hook into
@@ -16,7 +17,8 @@
 //! `docs/ARCHITECTURE.md`, "Event-skipping time model"). The output is
 //! bit-identical to stepping every cycle.
 
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use perfbug_workloads::{FuClass, Inst, Opcode, RowMatrix};
 
@@ -87,8 +89,16 @@ const NO_DEP: u64 = u64::MAX;
 struct Slot {
     inst: Inst,
     seq: u64,
+    /// Source producers that have not issued yet.
+    wait: u8,
+    /// Earliest cycle issue is permitted: the cycle after rename, every
+    /// issued producer's `complete_at`, and a bug-16 replay delay.
+    ready_at: u64,
+    /// Source producers and the rename-time issue bound, kept for the
+    /// scan selector of the equivalence tests.
+    #[cfg(test)]
     deps: [u64; 2],
-    /// Earliest cycle issue is permitted (bug delays land here).
+    #[cfg(test)]
     min_issue: u64,
     /// Extra execution latency from bugs.
     extra_exec: u32,
@@ -164,8 +174,21 @@ struct Pipeline<'c> {
     rob: VecDeque<Slot>,
     head_seq: u64,
     next_seq: u64,
-    /// Seq numbers of unissued instructions, in program order.
-    iq: Vec<u64>,
+    /// Issue-queue occupancy: renamed instructions not yet issued.
+    iq_len: u32,
+    /// Seq of the oldest unissued instruction (`next_seq` when the IQ is
+    /// empty). Instructions never un-issue, so it only moves forward.
+    oldest_unissued: u64,
+    /// Consumers waiting on each unissued producer, indexed by the
+    /// producer's `seq % rob_size`.
+    dependents: Vec<Vec<u64>>,
+    /// IQ entries with no unissued producer whose `ready_at` is still
+    /// ahead, as a min-heap on `(ready_at, seq)`.
+    pending: BinaryHeap<Reverse<(u64, u64)>>,
+    /// IQ entries whose `ready_at` has come, in program order.
+    ready: Vec<u64>,
+    /// Bug 1: unissued serialising instructions, in program order.
+    serialized_iq: VecDeque<u64>,
     lq_count: u32,
     sq_count: u32,
     free_regs: Vec<u32>,
@@ -179,9 +202,10 @@ struct Pipeline<'c> {
     dtlb: Option<(Vec<u64>, u32)>,
     /// Bug 16: issue grants observed so far (squashed grants included).
     issue_grants: u64,
-    /// Skip idle cycles in bulk. Only the reference stepper of the
-    /// equivalence tests turns this off.
-    fast_forward: bool,
+    /// The equivalence tests' reference: scan the whole IQ to select and
+    /// step every cycle.
+    #[cfg(test)]
+    reference: bool,
 }
 
 impl<'c> Pipeline<'c> {
@@ -220,7 +244,12 @@ impl<'c> Pipeline<'c> {
             rob: VecDeque::new(),
             head_seq: 0,
             next_seq: 0,
-            iq: Vec::new(),
+            iq_len: 0,
+            oldest_unissued: 0,
+            dependents: vec![Vec::new(); cfg.rob_size as usize],
+            pending: BinaryHeap::new(),
+            ready: Vec::new(),
+            serialized_iq: VecDeque::new(),
             lq_count: 0,
             sq_count: 0,
             free_regs: (0..phys_regs).collect(),
@@ -231,7 +260,8 @@ impl<'c> Pipeline<'c> {
             mispredict_extra,
             dtlb,
             issue_grants: 0,
-            fast_forward: true,
+            #[cfg(test)]
+            reference: false,
         }
     }
 
@@ -261,7 +291,7 @@ impl<'c> Pipeline<'c> {
             self.counters
                 .add(Counter::RobOccupancySum, self.rob.len() as u64);
             self.counters
-                .add(Counter::IqOccupancySum, self.iq.len() as u64);
+                .add(Counter::IqOccupancySum, self.iq_len as u64);
 
             if self.cycle - last_sample_cycle == step_cycles {
                 out.counter_rows
@@ -279,7 +309,7 @@ impl<'c> Pipeline<'c> {
                 self.cycle,
                 self.bug
             );
-            if self.fast_forward && self.was_idle(&before, grants_before) {
+            if self.fast_forwards() && self.was_idle(&before, grants_before) {
                 // Every cycle before the next event repeats this one. Sample
                 // boundaries and the watchdog's cycle are always stepped.
                 let until = self
@@ -309,6 +339,16 @@ impl<'c> Pipeline<'c> {
 
     // ---- event skipping --------------------------------------------------
 
+    #[cfg(not(test))]
+    fn fast_forwards(&self) -> bool {
+        true
+    }
+
+    #[cfg(test)]
+    fn fast_forwards(&self) -> bool {
+        !self.reference
+    }
+
     /// Whether the cycle just stepped changed no pipeline state: nothing
     /// committed, issued, renamed or fetched, no I-cache access, and no
     /// squashed issue grant (bug 16 changes state without issuing).
@@ -337,18 +377,10 @@ impl<'c> Pipeline<'c> {
         if let Some(head) = self.rob.front().filter(|s| s.issued) {
             consider(head.complete_at);
         }
-        // Issue: an entry's delay expires or one of its producers completes.
-        for &seq in &self.iq {
-            let slot = &self.rob[(seq - self.head_seq) as usize];
-            consider(slot.min_issue);
-            for &d in &slot.deps {
-                if d != NO_DEP && d >= self.head_seq {
-                    let producer = &self.rob[(d - self.head_seq) as usize];
-                    if producer.issued {
-                        consider(producer.complete_at);
-                    }
-                }
-            }
+        // Issue: the earliest pending entry becomes ready. An entry still
+        // waiting on a producer can only wake after that producer issues.
+        if let Some(&Reverse((ready_at, _))) = self.pending.peek() {
+            consider(ready_at);
         }
         // Issue: a non-pipelined divider frees its port.
         for &t in &self.div_busy_until {
@@ -395,17 +427,6 @@ impl<'c> Pipeline<'c> {
     }
 
     // ---- issue -----------------------------------------------------------
-
-    fn deps_ready(&self, slot: &Slot) -> bool {
-        slot.deps.iter().all(|&d| {
-            if d == NO_DEP || d < self.head_seq {
-                return true;
-            }
-            let idx = (d - self.head_seq) as usize;
-            let producer = &self.rob[idx];
-            producer.issued && producer.complete_at <= self.cycle
-        })
-    }
 
     fn acceptable_fus(op: Opcode) -> &'static [FuClass] {
         match op {
@@ -483,51 +504,164 @@ impl<'c> Pipeline<'c> {
         }
     }
 
+    /// Selects up to `width` ready entries, oldest first, and issues
+    /// them. Only entries whose `ready_at` has come are visited: rename
+    /// and `issue_slot` keep every other entry in `pending` or on its
+    /// producers' `dependents` lists.
     fn issue(&mut self) {
+        #[cfg(test)]
+        if self.reference {
+            return self.issue_by_scan();
+        }
+        while let Some(&Reverse((ready_at, seq))) = self.pending.peek() {
+            if ready_at > self.cycle {
+                break;
+            }
+            self.pending.pop();
+            let pos = self.ready.partition_point(|&s| s < seq);
+            self.ready.insert(pos, seq);
+        }
+
         // Bit p set: port p was granted this cycle (validate() caps the
         // port count at the mask width).
         let mut port_used = 0u64;
         let mut issued = 0u32;
-
-        // The IQ list holds the seq numbers of unissued instructions in
-        // program order; scanning it (<= iq_size entries) instead of the
-        // whole ROB keeps memory-bound probes cheap.
-        let oldest_unissued = self.iq.first().map(|&s| {
-            let slot = &self.rob[(s - self.head_seq) as usize];
-            (s, slot.inst.opcode)
-        });
+        let oldest = self.oldest_unissued;
         // Bug 3: when the oldest unissued instruction has opcode X, only
         // that instruction may issue this cycle.
-        let only_oldest = matches!(
-            (self.bug, oldest_unissued),
-            (Some(BugSpec::IfOldestIssueOnlyX { x }), Some((_, op))) if op == x
-        );
-
-        for iq_pos in 0..self.iq.len() {
-            if issued >= self.cfg.width {
-                break;
+        let only_oldest = match self.bug {
+            Some(BugSpec::IfOldestIssueOnlyX { x }) if self.iq_len > 0 => {
+                self.rob[(oldest - self.head_seq) as usize].inst.opcode == x
             }
-            let seq = self.iq[iq_pos];
+            _ => false,
+        };
+
+        // The ready list is compacted in place: entries [..kept] stay,
+        // entries from `next` on are still to be visited.
+        let mut kept = 0;
+        let mut next = 0;
+        while next < self.ready.len() && issued < self.cfg.width {
+            let seq = self.ready[next];
             let rob_idx = (seq - self.head_seq) as usize;
             let slot = &self.rob[rob_idx];
             let op = slot.inst.opcode;
 
-            if only_oldest && Some(seq) != oldest_unissued.map(|(s, _)| s) {
+            if only_oldest && seq != oldest {
                 break; // younger than the gating oldest-X instruction
-            }
-            // Bug 2: X issues only when it is the oldest unissued.
-            if let Some(BugSpec::IssueOnlyIfOldest { x }) = self.bug {
-                if op == x && Some(seq) != oldest_unissued.map(|(s, _)| s) {
-                    continue;
-                }
             }
             // Bug 1: a serialising instruction issues only once it is the
             // oldest unissued instruction, and younger instructions stall
             // until it has been issued (the Fig. 1 "Bug 2" semantics).
-            if slot.serialized && Some(seq) != oldest_unissued.map(|(s, _)| s) {
+            if let Some(&barrier) = self.serialized_iq.front() {
+                if seq > barrier || (seq == barrier && seq != oldest) {
+                    break;
+                }
+            }
+            // Bug 2: X issues only when it is the oldest unissued.
+            let skip = matches!(self.bug, Some(BugSpec::IssueOnlyIfOldest { x }) if op == x)
+                && seq != oldest;
+            let port = if skip {
+                None
+            } else {
+                self.allocate_port(op, port_used)
+            };
+            let Some(p) = port else {
+                if slot.serialized {
+                    break; // the unissued barrier stalls the rest
+                }
+                self.ready[kept] = seq;
+                kept += 1;
+                next += 1;
+                continue;
+            };
+            next += 1;
+            port_used |= 1 << p;
+            // Bug 16: every n-th issue grant is squashed; the instruction
+            // keeps its port for the cycle but replays t cycles later.
+            // Each instruction is squashed at most once, so the pathology
+            // is severe yet bounded.
+            if let Some(BugSpec::IssueReplayEveryN { n, t }) = self.bug {
+                self.issue_grants += 1;
+                if !self.rob[rob_idx].replayed && self.issue_grants.is_multiple_of(n.max(1) as u64)
+                {
+                    let slot = &mut self.rob[rob_idx];
+                    slot.replayed = true;
+                    slot.ready_at = self.cycle + t as u64;
+                    self.pending.push(Reverse((slot.ready_at, seq)));
+                    continue;
+                }
+            }
+            if self.rob[rob_idx].serialized {
+                self.serialized_iq.pop_front();
+            }
+            self.issue_slot(rob_idx, p);
+            issued += 1;
+        }
+        let len = self.ready.len();
+        self.ready.copy_within(next..len, kept);
+        self.ready.truncate(kept + len - next);
+
+        if issued > 0 {
+            while self.oldest_unissued < self.next_seq
+                && self.rob[(self.oldest_unissued - self.head_seq) as usize].issued
+            {
+                self.oldest_unissued += 1;
+            }
+        } else {
+            self.counters.inc(Counter::IssueIdleCycles);
+        }
+        self.counters.add(Counter::IssuedInsts, issued as u64);
+    }
+
+    /// The equivalence tests' reference selector: scans every unissued
+    /// entry in program order and checks its producers directly, with the
+    /// same gating rules as [`Self::issue`] but none of its wakeup state.
+    #[cfg(test)]
+    fn issue_by_scan(&mut self) {
+        let mut port_used = 0u64;
+        let mut issued = 0u32;
+        let oldest_unissued = self
+            .rob
+            .iter()
+            .find(|s| !s.issued)
+            .map(|s| (s.seq, s.inst.opcode));
+        let only_oldest = matches!(
+            (self.bug, oldest_unissued),
+            (Some(BugSpec::IfOldestIssueOnlyX { x }), Some((_, op))) if op == x
+        );
+        let deps_ready = |pipeline: &Self, slot: &Slot| {
+            slot.deps.iter().all(|&d| {
+                if d == NO_DEP || d < pipeline.head_seq {
+                    return true;
+                }
+                let producer = &pipeline.rob[(d - pipeline.head_seq) as usize];
+                producer.issued && producer.complete_at <= pipeline.cycle
+            })
+        };
+
+        for rob_idx in 0..self.rob.len() {
+            if issued >= self.cfg.width {
                 break;
             }
-            let ready = slot.min_issue <= self.cycle && self.deps_ready(slot);
+            let slot = &self.rob[rob_idx];
+            if slot.issued {
+                continue;
+            }
+            let seq = slot.seq;
+            let op = slot.inst.opcode;
+            let is_oldest = Some(seq) == oldest_unissued.map(|(s, _)| s);
+            if only_oldest && !is_oldest {
+                break;
+            }
+            if let Some(BugSpec::IssueOnlyIfOldest { x }) = self.bug {
+                if op == x && !is_oldest {
+                    continue;
+                }
+            }
+            if slot.serialized && !is_oldest {
+                break;
+            }
+            let ready = slot.min_issue <= self.cycle && deps_ready(self, slot);
             let port = if ready {
                 self.allocate_port(op, port_used)
             } else {
@@ -536,10 +670,6 @@ impl<'c> Pipeline<'c> {
             match port {
                 Some(p) => {
                     port_used |= 1 << p;
-                    // Bug 16: every n-th issue grant is squashed; the
-                    // instruction keeps its port for the cycle but replays
-                    // t cycles later. Each instruction is squashed at most
-                    // once, so the pathology is severe yet bounded.
                     if let Some(BugSpec::IssueReplayEveryN { n, t }) = self.bug {
                         self.issue_grants += 1;
                         if !self.rob[rob_idx].replayed
@@ -555,19 +685,11 @@ impl<'c> Pipeline<'c> {
                     issued += 1;
                 }
                 None => {
-                    // Bug 1: an unissued serialising instruction blocks all
-                    // younger instructions from issuing.
                     if self.rob[rob_idx].serialized {
                         break;
                     }
                 }
             }
-        }
-        if issued > 0 {
-            // The IQ keeps exactly the entries still unissued (a squashed
-            // bug-16 grant stays queued).
-            let (rob, head_seq) = (&self.rob, self.head_seq);
-            self.iq.retain(|&s| !rob[(s - head_seq) as usize].issued);
         }
         if issued == 0 {
             self.counters.inc(Counter::IssueIdleCycles);
@@ -629,11 +751,27 @@ impl<'c> Pipeline<'c> {
             self.div_busy_until[port] = self.cycle + latency as u64;
         }
         let complete_at = self.cycle + latency as u64;
-        {
+        let seq = {
             let slot = &mut self.rob[rob_idx];
             slot.issued = true;
             slot.complete_at = complete_at;
+            slot.seq
+        };
+        self.iq_len -= 1;
+        // Wake the consumers: each has one producer fewer to wait for, and
+        // cannot issue before this one completes.
+        let wake = (seq % self.cfg.rob_size as u64) as usize;
+        let mut consumers = std::mem::take(&mut self.dependents[wake]);
+        for &c in &consumers {
+            let consumer = &mut self.rob[(c - self.head_seq) as usize];
+            consumer.wait -= 1;
+            consumer.ready_at = consumer.ready_at.max(complete_at);
+            if consumer.wait == 0 {
+                self.pending.push(Reverse((consumer.ready_at, c)));
+            }
         }
+        consumers.clear();
+        self.dependents[wake] = consumers;
         if mispredicted {
             // The front end was waiting on this branch: resume after it
             // resolves plus the refill penalty (bug 7 adds to it).
@@ -660,7 +798,7 @@ impl<'c> Pipeline<'c> {
                 self.counters.inc(Counter::RenameStallCycles);
                 break;
             }
-            if self.iq.len() as u32 >= self.cfg.iq_size {
+            if self.iq_len >= self.cfg.iq_size {
                 self.counters.inc(Counter::IqFullStalls);
                 self.counters.inc(Counter::RenameStallCycles);
                 break;
@@ -701,7 +839,23 @@ impl<'c> Pipeline<'c> {
                     dep_ops[i] = producer_op;
                 }
             }
+            // Register on every producer still to issue; an issued one
+            // bounds the ready cycle by its completion.
             let min_issue = self.cycle + 1;
+            let mut ready_at = min_issue;
+            let mut wait = 0u8;
+            for &d in &deps {
+                if d == NO_DEP || d < self.head_seq {
+                    continue;
+                }
+                let producer = &self.rob[(d - self.head_seq) as usize];
+                if producer.issued {
+                    ready_at = ready_at.max(producer.complete_at);
+                } else {
+                    wait += 1;
+                    self.dependents[(d % self.cfg.rob_size as u64) as usize].push(seq);
+                }
+            }
             let mut extra_exec = 0u32;
             let mut serialized = false;
             let phys_reg = if needs_reg {
@@ -735,9 +889,7 @@ impl<'c> Pipeline<'c> {
                         extra_exec += t;
                     }
                 }
-                Some(BugSpec::IqBelowDelay { n, t })
-                    if self.cfg.iq_size - (self.iq.len() as u32) < n =>
-                {
+                Some(BugSpec::IqBelowDelay { n, t }) if self.cfg.iq_size - self.iq_len < n => {
                     extra_exec += t;
                 }
                 Some(BugSpec::RobBelowDelay { n, t })
@@ -767,11 +919,21 @@ impl<'c> Pipeline<'c> {
                 Opcode::Store => self.sq_count += 1,
                 _ => {}
             }
-            self.iq.push(seq);
+            if wait == 0 {
+                self.pending.push(Reverse((ready_at, seq)));
+            }
+            if serialized {
+                self.serialized_iq.push_back(seq);
+            }
+            self.iq_len += 1;
             self.rob.push_back(Slot {
                 inst,
                 seq,
+                wait,
+                ready_at,
+                #[cfg(test)]
                 deps,
+                #[cfg(test)]
                 min_issue,
                 extra_exec,
                 issued: false,
@@ -1085,18 +1247,17 @@ mod tests {
         assert_eq!(buggy.total_insts, healthy.total_insts);
     }
 
-    /// [`simulate`] with idle-cycle fast-forward on or off; off is the
-    /// plain per-cycle reference stepper.
-    fn simulate_stepped(
+    /// [`simulate`] on the reference stepper: every unissued entry is
+    /// scanned to select, and every cycle is stepped.
+    fn simulate_reference(
         cfg: &MicroarchConfig,
         bug: Option<BugSpec>,
         trace: &[Inst],
         step_cycles: u64,
-        fast_forward: bool,
     ) -> ProbeRun {
         let mut run = ProbeRun::empty();
         let mut pipeline = Pipeline::new(cfg, bug);
-        pipeline.fast_forward = fast_forward;
+        pipeline.reference = true;
         pipeline.run(trace, step_cycles, &mut run);
         run
     }
@@ -1196,6 +1357,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
+        // The production pipeline (wakeup/select, idle cycles skipped)
+        // against the reference stepper (IQ scan, every cycle stepped).
         #[test]
         fn fast_forward_matches_per_cycle_stepping(
             words in prop::collection::vec(any::<u64>(), 50..600),
@@ -1214,8 +1377,8 @@ mod tests {
             let bugs = std::iter::once(None).chain(families.into_iter().map(Some));
             for bug in bugs {
                 for step in [1, 7, 500, 1000] {
-                    let fast = simulate_stepped(cfg, bug, &trace, step, true);
-                    let reference = simulate_stepped(cfg, bug, &trace, step, false);
+                    let fast = simulate(cfg, bug, &trace, step);
+                    let reference = simulate_reference(cfg, bug, &trace, step);
                     let at = format!("{} / {bug:?} / step {step}", cfg.name);
                     prop_assert_eq!(fast.total_cycles, reference.total_cycles, "{}", at);
                     prop_assert_eq!(fast.total_insts, reference.total_insts, "{}", at);
@@ -1242,7 +1405,7 @@ mod tests {
         let cfg = presets::skylake();
         let mut run = ProbeRun::empty();
         let stepped = Pipeline::new(&cfg, None).run(&trace, 1000, &mut run);
-        let reference = simulate_stepped(&cfg, None, &trace, 1000, false);
+        let reference = simulate_reference(&cfg, None, &trace, 1000);
         assert_eq!(run.total_cycles, reference.total_cycles);
         assert_eq!(run.counter_rows, reference.counter_rows);
         assert!(

@@ -1,20 +1,40 @@
-//! Pinned simulator output: one FNV-1a digest over every design of
-//! Table II × (no bug plus one variant of each of the 16 bug families) on
-//! the first tiny-scale probes of two benchmarks.
+//! Pinned simulator output: FNV-1a digests over two grids.
+//!
+//! - Every design of Table II × (no bug plus one variant of each of the
+//!   16 bug families) on the first tiny-scale probes of two benchmarks.
+//! - Default-scale probes, which fill the issue queue and re-order buffer
+//!   far more often: the first probe of each `core-detect` benchmark of
+//!   the outside-in benchmark on every design with no bug, plus every bug
+//!   family on Skylake.
 //!
 //! The digest covers each run's total cycles, committed instructions, the
 //! bits of every per-step IPC value and every counter-row value. Config
 //! fingerprints, cached corpora and the benchmark's corpus digests all
 //! assume the simulator is bit-stable, so any timing-model change that
 //! moves a single cycle fails here first. A deliberate model change must
-//! update [`GOLDEN_DIGEST`] and say so in its change notes.
+//! update both digests and say so in its change notes.
 
-use perfbug_uarch::{presets, simulate, BugSpec};
+use perfbug_uarch::{presets, simulate, BugSpec, ProbeRun};
 use perfbug_workloads::{benchmark, Opcode, WorkloadScale};
 
 /// Digest of the simulator's output over the grid below, recorded on the
 /// per-cycle stepper before idle-cycle fast-forward was introduced.
 const GOLDEN_DIGEST: u64 = 0xf589_b7dd_2bf5_5d7d;
+
+/// Digest of the default-scale grid, recorded on the event-skipping
+/// simulator that scanned the whole issue queue every cycle.
+const DEFAULT_SCALE_DIGEST: u64 = 0x03fc_893b_3b1b_d1b4;
+
+/// The `core-detect` benchmarks of the outside-in benchmark
+/// (`perfbench/`).
+const CORE_DETECT_BENCHMARKS: [&str; 6] = [
+    "400.perlbench",
+    "403.gcc",
+    "433.milc",
+    "436.cactusADM",
+    "458.sjeng",
+    "462.libquantum",
+];
 
 /// Probes taken from the front of each benchmark's SimPoint list.
 const PROBES_PER_BENCHMARK: usize = 2;
@@ -29,6 +49,21 @@ fn fnv(mut h: u64, word: u64) -> u64 {
     for b in word.to_le_bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// Folds one run's totals, per-step IPC bits and counter-row bits into `h`.
+fn fold_run(mut h: u64, run: &ProbeRun) -> u64 {
+    h = fnv(h, run.total_cycles);
+    h = fnv(h, run.total_insts);
+    for &v in &run.ipc {
+        h = fnv(h, v.to_bits());
+    }
+    for row in &run.counter_rows {
+        for &v in row {
+            h = fnv(h, v.to_bits());
+        }
     }
     h
 }
@@ -92,17 +127,7 @@ fn simulator_output_matches_golden_digest() {
             let trace = probe.trace(&program);
             for cfg in presets::all() {
                 for &bug in &bugs {
-                    let run = simulate(&cfg, bug, &trace, STEP_CYCLES);
-                    h = fnv(h, run.total_cycles);
-                    h = fnv(h, run.total_insts);
-                    for &v in &run.ipc {
-                        h = fnv(h, v.to_bits());
-                    }
-                    for row in &run.counter_rows {
-                        for &v in row {
-                            h = fnv(h, v.to_bits());
-                        }
-                    }
+                    h = fold_run(h, &simulate(&cfg, bug, &trace, STEP_CYCLES));
                     runs += 1;
                 }
             }
@@ -111,6 +136,33 @@ fn simulator_output_matches_golden_digest() {
     assert_eq!(runs, 20 * 17 * 2 * PROBES_PER_BENCHMARK, "grid size");
     assert_eq!(
         h, GOLDEN_DIGEST,
+        "simulator output changed: digest {h:#018x} over {runs} runs"
+    );
+}
+
+#[test]
+fn default_scale_output_matches_golden_digest() {
+    let scale = WorkloadScale::default();
+    let skylake = presets::skylake();
+    let mut h = FNV_OFFSET;
+    let mut runs = 0usize;
+    for name in CORE_DETECT_BENCHMARKS {
+        let spec = benchmark(name).expect("suite benchmark");
+        let program = spec.program(&scale);
+        let probe = spec.probes(&scale).into_iter().next().expect("a probe");
+        let trace = probe.trace(&program);
+        for cfg in presets::all() {
+            h = fold_run(h, &simulate(&cfg, None, &trace, STEP_CYCLES));
+            runs += 1;
+        }
+        for bug in one_per_family() {
+            h = fold_run(h, &simulate(&skylake, Some(bug), &trace, STEP_CYCLES));
+            runs += 1;
+        }
+    }
+    assert_eq!(runs, 6 * (20 + 16), "grid size");
+    assert_eq!(
+        h, DEFAULT_SCALE_DIGEST,
         "simulator output changed: digest {h:#018x} over {runs} runs"
     );
 }
