@@ -249,7 +249,8 @@ struct FamilyReport {
     metrics: Option<DetectionMetrics>,
     /// ROC curve of the fold's decisions as `(fpr, tpr)` pairs.
     roc: Vec<(f64, f64)>,
-    /// Smallest probe-prefix length reaching TPR >= 0.5; `None` = never.
+    /// Detection latency in probes (see [`detection_latency`]); `None` =
+    /// never.
     latency: Option<usize>,
 }
 
@@ -360,8 +361,8 @@ fn mem_config(catalog: MemBugCatalog) -> MemCollectionConfig {
 
 /// Runs the leave-one-type-out evaluation over one collection and slices
 /// the outcome per family: fold metrics, fold ROC, and detection latency
-/// (the smallest probe-prefix whose fold already reaches TPR >= 0.5 — how
-/// few probes the methodology needs before it starts catching the family).
+/// (how few probes the methodology needs before it starts catching the
+/// family, see [`detection_latency`]).
 fn eval_side(
     col: &Collection,
     side: Side,
@@ -385,11 +386,13 @@ fn eval_side(
             .iter()
             .map(|p| (p.fpr, p.tpr))
             .collect();
-        let latency = prefixes.iter().enumerate().find_map(|(i, ev)| {
-            let f = ev.folds.iter().find(|f| f.type_id == fold.type_id)?;
-            let tpr = fold_tpr(&f.decisions)?;
-            (tpr >= 0.5).then_some(i + 1)
-        });
+        let latency = detection_latency(
+            &fold.decisions,
+            prefixes.iter().map(|ev| {
+                let f = ev.folds.iter().find(|f| f.type_id == fold.type_id)?;
+                Some(f.decisions.as_slice())
+            }),
+        );
         reports.push(FamilyReport {
             name: side.family(fold.type_id).name(),
             simulator: side.label(),
@@ -402,14 +405,37 @@ fn eval_side(
     (reports, full.metrics)
 }
 
-/// TPR of one fold's decisions; `None` when the fold has no positives.
-fn fold_tpr(decisions: &[Decision]) -> Option<f64> {
-    let pos = decisions.iter().filter(|d| d.has_bug).count();
-    if pos == 0 {
+/// Detection latency of one family: the smallest probe-prefix length
+/// whose fold reaches TPR >= 0.5 at an FPR no worse than the full run's.
+/// `prefixes` holds the fold of each prefix length, 1 first. `None` when
+/// the full run's TPR is below 0.5 — the family is not detected, so no
+/// prefix can detect it early — or when no prefix qualifies.
+fn detection_latency<'a>(
+    full: &[Decision],
+    prefixes: impl IntoIterator<Item = Option<&'a [Decision]>>,
+) -> Option<usize> {
+    let (full_tpr, full_fpr) = fold_rates(full)?;
+    if full_tpr < 0.5 {
         return None;
     }
-    let tp = decisions.iter().filter(|d| d.has_bug && d.flagged).count();
-    Some(tp as f64 / pos as f64)
+    prefixes.into_iter().enumerate().find_map(|(i, fold)| {
+        let (tpr, fpr) = fold_rates(fold?)?;
+        (tpr >= 0.5 && fpr <= full_fpr).then_some(i + 1)
+    })
+}
+
+/// TPR and FPR of one fold's decisions; `None` when the fold has no
+/// positives. The FPR of a fold without negatives is 0.
+fn fold_rates(decisions: &[Decision]) -> Option<(f64, f64)> {
+    let rate = |has_bug: bool| {
+        let all = decisions.iter().filter(|d| d.has_bug == has_bug).count();
+        let flagged = decisions
+            .iter()
+            .filter(|d| d.has_bug == has_bug && d.flagged)
+            .count();
+        (all > 0).then(|| flagged as f64 / all as f64)
+    };
+    Some((rate(true)?, rate(false).unwrap_or(0.0)))
 }
 
 /// The fuzzed variants of one family, with their calibration evidence.
@@ -565,4 +591,59 @@ fn render_table(reports: &[FamilyReport]) -> String {
         ]);
     }
     table.render()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fold of `tp` flagged and `fn_` missed positives, `fp` flagged and
+    /// `tn` clean negatives.
+    fn fold(tp: usize, fn_: usize, fp: usize, tn: usize) -> Vec<Decision> {
+        let d = |has_bug: bool, flagged: bool| Decision {
+            score: f64::from(u8::from(flagged)),
+            flagged,
+            has_bug,
+            severity: None,
+        };
+        let mut out = Vec::new();
+        out.extend((0..tp).map(|_| d(true, true)));
+        out.extend((0..fn_).map(|_| d(true, false)));
+        out.extend((0..fp).map(|_| d(false, true)));
+        out.extend((0..tn).map(|_| d(false, false)));
+        out
+    }
+
+    #[test]
+    fn latency_prefix_must_not_buy_tpr_with_false_positives() {
+        // Full run: TPR 0.75 at FPR 0.25.
+        let full = fold(3, 1, 1, 3);
+        let prefixes = [
+            fold(4, 0, 4, 0), // TPR 1.0 but FPR 1.0: flags everything.
+            fold(2, 2, 0, 4), // TPR 0.5 at FPR 0: detects.
+            fold(3, 1, 1, 3),
+        ];
+        let latency = detection_latency(&full, prefixes.iter().map(|f| Some(f.as_slice())));
+        assert_eq!(latency, Some(2));
+    }
+
+    #[test]
+    fn latency_is_none_when_the_full_run_misses() {
+        // Full run: TPR 0.25; an early prefix reaching TPR 0.5 at the
+        // same FPR is noise, not detection.
+        let full = fold(1, 3, 0, 4);
+        let prefixes = [fold(2, 2, 0, 4), fold(1, 3, 0, 4)];
+        let latency = detection_latency(&full, prefixes.iter().map(|f| Some(f.as_slice())));
+        assert_eq!(latency, None);
+        // A full run with no detections at all.
+        let latency = detection_latency(&fold(0, 4, 0, 4), [Some(&full[..])]);
+        assert_eq!(latency, None);
+    }
+
+    #[test]
+    fn latency_skips_prefixes_without_the_fold() {
+        let full = fold(4, 0, 0, 4);
+        let prefixes = [None, Some(&full[..])];
+        assert_eq!(detection_latency(&full, prefixes), Some(2));
+    }
 }

@@ -81,7 +81,11 @@ impl BaselineClassifier {
             let rows: Vec<Vec<f64>> = samples.iter().map(|s| s.features.clone()).collect();
             let y: Vec<f64> = samples.iter().map(|s| f64::from(s.has_bug as u8)).collect();
             let data = Dataset::from_rows(&rows, &y).expect("aligned baseline data");
-            let mut model = Gbt::new(params.gbt);
+            // The leave-one-type-out folds already run one per worker
+            // (`experiment::evaluate_baseline`); keep each fit's
+            // histogram builds serial rather than nest threads (output
+            // is bit-identical either way).
+            let mut model = Gbt::new(params.gbt).with_hist_threads(1);
             model.fit(&data, None);
             models.push(model);
         }

@@ -271,7 +271,10 @@ impl CollectionConfig {
 /// every evaluation key. In particular the bug-free reference run of each
 /// design exists once per (probe, design) and is never re-simulated for
 /// the evaluation pass. The unit roles are handed to the shared
-/// [`exec::collect_unit_grid_streaming`] driver as an [`exec::UnitGrid`].
+/// [`exec::collect_unit_grid_streaming`] driver as an [`exec::UnitGrid`]:
+/// its pool queues each probe's simulations, then its counter selection,
+/// then stage-1 training and chunked inference, and emits probes in index
+/// order.
 pub(crate) struct SimGrid {
     /// Distinct (design index, catalogue bug index) combinations, by unit;
     /// design indices are the experiment's own.
@@ -556,11 +559,12 @@ fn prepare_pass(config: &CollectionConfig) -> PreparedPass<'_> {
         .iter()
         .map(|b| b.program(&config.scale.workload))
         .collect();
-    let per_benchmark: Vec<Vec<Probe>> = config
-        .benchmarks
-        .iter()
-        .map(|b| b.probes(&config.scale.workload))
-        .collect();
+    // SimPoint extraction is most of a pass's set-up, and it runs once
+    // for the pass identity and once for the collection itself; the
+    // benchmarks are independent, so they extract in parallel.
+    let per_benchmark = exec::parallel_map(config.benchmarks.len(), config.threads, |b| {
+        config.benchmarks[b].probes(&config.scale.workload)
+    });
     let probes = subsample_probes(per_benchmark, config.max_probes);
     assert!(!probes.is_empty(), "no probes extracted");
     PreparedPass {
@@ -638,9 +642,9 @@ impl ExperimentConfig for CollectionConfig {
             crate::tracecache::TraceProvider::new(store, &config.benchmarks, config.scale.workload);
 
         // Run-level parallel collection through the shared unit-grid
-        // driver: trace generation, the (probe x unit) simulation grid,
-        // per-probe counter selection and the (probe x engine) training
-        // grid all run on the work-stealing pool, with deterministic
+        // driver: trace generation, the (probe x unit) simulations,
+        // per-probe counter selection, stage-1 training and chunked
+        // inference all run as tasks of one pool, with deterministic
         // assembly for any worker count.
         exec::collect_unit_grid_streaming(
             probes.len(),
@@ -895,10 +899,15 @@ pub fn evaluate_two_stage(col: &Collection, engine_idx: usize, params: Stage2Par
 /// Evaluates the single-stage voting baseline (§II) under the same
 /// leave-one-type-out protocol, using the collection's aggregated
 /// features.
+///
+/// The folds are independent, so they run in parallel on
+/// [`exec::default_threads`] workers; results keep fold order and are
+/// identical for any thread count.
 pub fn evaluate_baseline(col: &Collection, params: &BaselineParams) -> Evaluation {
     let impacts = severity_impacts(col);
-    let mut folds = Vec::new();
-    for type_id in col.catalog.type_ids() {
+    let type_ids = col.catalog.type_ids();
+    let folds = exec::parallel_map(type_ids.len(), exec::default_threads(), |fold| {
+        let type_id = type_ids[fold];
         let held_out = col.catalog.variants_of_type(type_id);
         // Per-probe training samples over sets II and III.
         let train_keys: Vec<usize> = col
@@ -948,12 +957,12 @@ pub fn evaluate_baseline(col: &Collection, params: &BaselineParams) -> Evaluatio
             .first()
             .map(|&v| col.catalog.variants()[v].type_name().to_string())
             .unwrap_or_default();
-        folds.push(FoldResult {
+        FoldResult {
             type_id,
             type_name,
             decisions,
-        });
-    }
+        }
+    });
     let pooled: Vec<Decision> = folds.iter().flat_map(|f| f.decisions.clone()).collect();
     Evaluation {
         metrics: DetectionMetrics::from_decisions(&pooled),
@@ -1083,6 +1092,80 @@ mod tests {
         let benches: std::collections::HashSet<&str> =
             col.probes.iter().map(|p| p.benchmark.as_str()).collect();
         assert_eq!(benches.len(), 2);
+    }
+
+    /// The baseline's leave-one-type-out folds as a plain serial loop:
+    /// one `BaselineClassifier::fit` per held-out type, in type order.
+    fn serial_baseline_folds(col: &Collection, params: &BaselineParams) -> Vec<FoldResult> {
+        let mut folds = Vec::new();
+        for type_id in col.catalog.type_ids() {
+            let held_out = col.catalog.variants_of_type(type_id);
+            let is_train = |key: &RunKey| {
+                matches!(key.set, ArchSet::II | ArchSet::III)
+                    && key.bug.is_none_or(|v| !held_out.contains(&v))
+            };
+            let per_probe: Vec<Vec<BaselineSample>> = col
+                .agg_features
+                .iter()
+                .map(|rows| {
+                    col.keys
+                        .iter()
+                        .zip(rows)
+                        .filter(|(key, _)| is_train(key))
+                        .map(|(key, row)| BaselineSample {
+                            features: row.clone(),
+                            has_bug: key.bug.is_some(),
+                        })
+                        .collect()
+                })
+                .collect();
+            let clf = BaselineClassifier::fit(params, &per_probe);
+            let mut decisions = Vec::new();
+            for (k, key) in col.keys.iter().enumerate() {
+                let has_bug = match key.bug {
+                    _ if key.set != ArchSet::IV => continue,
+                    None => false,
+                    Some(v) if held_out.contains(&v) => true,
+                    Some(_) => continue,
+                };
+                let features: Vec<&[f64]> = col
+                    .agg_features
+                    .iter()
+                    .map(|rows| rows[k].as_slice())
+                    .collect();
+                decisions.push(Decision {
+                    score: clf.score(&features),
+                    flagged: clf.classify(&features),
+                    has_bug,
+                    severity: None,
+                });
+            }
+            folds.push(FoldResult {
+                type_id,
+                type_name: String::new(),
+                decisions,
+            });
+        }
+        folds
+    }
+
+    #[test]
+    fn parallel_baseline_folds_equal_serial_fits() {
+        let col = collect(&tiny_config());
+        let params = BaselineParams::default();
+        let parallel = evaluate_baseline(&col, &params);
+        let serial = serial_baseline_folds(&col, &params);
+        assert_eq!(parallel.folds.len(), serial.len());
+        let bits = |fold: &FoldResult| -> Vec<(u64, bool, bool)> {
+            fold.decisions
+                .iter()
+                .map(|d| (d.score.to_bits(), d.flagged, d.has_bug))
+                .collect()
+        };
+        for (p, s) in parallel.folds.iter().zip(&serial) {
+            assert_eq!(p.type_id, s.type_id);
+            assert_eq!(bits(p), bits(s), "fold {} diverged", p.type_id);
+        }
     }
 
     #[test]

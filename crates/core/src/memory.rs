@@ -124,11 +124,15 @@ fn prepare_mem_pass(config: &MemCollectionConfig) -> MemPreparedPass {
     // Probes from the 22-SimPoint memory suite.
     let suite = memsim::memory_suite();
     let programs: Vec<Program> = suite.iter().map(|b| b.program(&config.workload)).collect();
+    // SimPoint extraction is most of a pass's set-up, and it runs once
+    // for the pass identity and once for the collection itself; the
+    // benchmarks are independent, so they extract in parallel.
+    let per_bench = exec::parallel_map(suite.len(), config.threads, |bi| {
+        suite[bi].probes(&config.workload)
+    });
     let mut probes: Vec<(usize, Probe)> = Vec::new();
-    for (bi, bench) in suite.iter().enumerate() {
-        for p in bench.probes(&config.workload) {
-            probes.push((bi, p));
-        }
+    for (bi, bench_probes) in per_bench.into_iter().enumerate() {
+        probes.extend(bench_probes.into_iter().map(|p| (bi, p)));
     }
     if let Some(max) = config.max_probes {
         probes.truncate(max);
@@ -191,10 +195,9 @@ impl ExperimentConfig for MemCollectionConfig {
         let store = TraceStore::from_env().filter(|_| config.catalog.trace_invariant());
         let traces = TraceProvider::new(store, &pass.suite, config.workload);
 
-        // The shared unit-grid driver runs the same three-phase pipeline
-        // as the core experiment; only the simulator and the
-        // counter-selection policy differ, and the memory experiment
-        // captures no series.
+        // The shared unit-grid driver runs the same task graph as the
+        // core experiment; only the simulator and the counter-selection
+        // policy differ, and the memory experiment captures no series.
         exec::collect_unit_grid_streaming(
             pass.probes.len(),
             config.threads,

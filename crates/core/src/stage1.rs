@@ -120,7 +120,7 @@ impl EngineSpec {
 }
 
 enum Trained {
-    Row(Box<dyn Regressor + Send>),
+    Row(Box<dyn Regressor + Send + Sync>),
     Seq(Box<Lstm>),
 }
 
@@ -133,7 +133,8 @@ impl std::fmt::Debug for Trained {
     }
 }
 
-/// A trained stage-1 model for one probe.
+/// A trained stage-1 model for one probe. It is `Sync`, so the
+/// collection pool's inference tasks share one model across workers.
 #[derive(Debug)]
 pub struct ProbeModel {
     features: FeatureSpec,
@@ -194,16 +195,15 @@ impl ProbeModel {
                 assert!(!train_data.is_empty(), "training runs contain no steps");
                 let val_data = to_dataset(val);
                 let val_ref = (!val_data.is_empty()).then_some(&val_data);
-                let mut boxed: Box<dyn Regressor + Send> = match engine {
+                let mut boxed: Box<dyn Regressor + Send + Sync> = match engine {
                     EngineSpec::Lasso(p) => Box::new(Lasso::new(*p)),
                     EngineSpec::Mlp(p) => Box::new(Mlp::new(p.clone())),
                     EngineSpec::Cnn(p) => Box::new(Cnn::new(*p)),
-                    // Stage-1 fits run on the collection engine's
-                    // (probe x engine) training grid, which already
-                    // saturates the machine — keep the GBT's per-node
-                    // histogram builds serial rather than spawning nested
-                    // threads inside every pool worker (output is
-                    // bit-identical either way).
+                    // Stage-1 fits run as tasks of the collection pool,
+                    // which already saturates the machine — keep the
+                    // GBT's per-node histogram builds serial rather than
+                    // spawning nested threads inside every pool worker
+                    // (output is bit-identical either way).
                     EngineSpec::Gbt(p) => Box::new(Gbt::new(*p).with_hist_threads(1)),
                     EngineSpec::Lstm(_) => unreachable!("handled above"),
                 };
