@@ -6,8 +6,8 @@
 //! inference-error signal (Eq. 1) that stage 2 turns into a bug verdict.
 
 use perfbug_ml::{
-    Cnn, CnnParams, Dataset, Gbt, GbtParams, Lasso, LassoParams, Lstm, LstmParams, Mlp, MlpParams,
-    Regressor, Sequence, SequenceRegressor, SplitStrategy,
+    Cnn, CnnParams, Dataset, Gbt, GbtParams, Lasso, LassoParams, Lstm, LstmParams, Matrix, Mlp,
+    MlpParams, Regressor, Sequence, SequenceRegressor, SplitStrategy,
 };
 use perfbug_workloads::RowMatrix;
 
@@ -37,27 +37,41 @@ pub struct FeatureSpec {
 }
 
 impl FeatureSpec {
-    /// Builds the per-step feature vectors of one run.
+    /// Builds the per-step feature rows of one run as one contiguous
+    /// matrix, one row per step.
     ///
     /// A window of `w` concatenates the selected counters of steps
     /// `t-w+1..=t` (clamped at the series start) and appends the static
     /// design features once.
-    pub fn build(&self, run: &RunSeries) -> Vec<Vec<f64>> {
+    pub fn build(&self, run: &RunSeries) -> Matrix {
+        let width = self.width(run);
+        let mut data = Vec::with_capacity(run.rows.len() * width);
+        self.extend_rows(run, &mut data);
+        Matrix::from_vec(run.rows.len(), width, data)
+    }
+
+    /// Features per step of `run`.
+    fn width(&self, run: &RunSeries) -> usize {
+        let arch = if self.arch_features {
+            run.arch_features.len()
+        } else {
+            0
+        };
+        self.selected.len() * self.window.max(1) + arch
+    }
+
+    /// Appends the feature rows of `run` to `out`, row-major.
+    fn extend_rows(&self, run: &RunSeries, out: &mut Vec<f64>) {
         let w = self.window.max(1);
-        (0..run.rows.len())
-            .map(|t| {
-                let mut row = Vec::with_capacity(self.selected.len() * w + run.arch_features.len());
-                for k in 0..w {
-                    let idx = t.saturating_sub(w - 1 - k);
-                    let src = run.rows.row(idx);
-                    row.extend(self.selected.iter().map(|&c| src[c]));
-                }
-                if self.arch_features {
-                    row.extend_from_slice(&run.arch_features);
-                }
-                row
-            })
-            .collect()
+        for t in 0..run.rows.len() {
+            for k in 0..w {
+                let src = run.rows.row(t.saturating_sub(w - 1 - k));
+                out.extend(self.selected.iter().map(|&c| src[c]));
+            }
+            if self.arch_features {
+                out.extend_from_slice(&run.arch_features);
+            }
+        }
     }
 }
 
@@ -163,7 +177,7 @@ impl ProbeModel {
                     runs.iter()
                         .filter(|r| !r.rows.is_empty())
                         .map(|r| {
-                            Sequence::new(features.build(r), r.target.clone())
+                            Sequence::new(row_vecs(&features.build(r)), r.target.clone())
                                 .expect("aligned rows/targets")
                         })
                         .collect()
@@ -183,13 +197,17 @@ impl ProbeModel {
             }
             _ => {
                 let to_dataset = |runs: &[&RunSeries]| -> Dataset {
-                    let mut rows = Vec::new();
-                    let mut y = Vec::new();
+                    let width = runs.first().map_or(0, |r| features.width(r));
+                    let steps: usize = runs.iter().map(|r| r.rows.len()).sum();
+                    let mut data = Vec::with_capacity(steps * width);
+                    let mut y = Vec::with_capacity(steps);
                     for r in runs {
-                        rows.extend(features.build(r));
+                        assert_eq!(features.width(r), width, "runs differ in feature width");
+                        features.extend_rows(r, &mut data);
                         y.extend_from_slice(&r.target);
                     }
-                    Dataset::from_rows(&rows, &y).expect("aligned rows/targets")
+                    Dataset::new(Matrix::from_vec(y.len(), width, data), y)
+                        .expect("aligned rows/targets")
                 };
                 let train_data = to_dataset(train);
                 assert!(!train_data.is_empty(), "training runs contain no steps");
@@ -214,15 +232,25 @@ impl ProbeModel {
         ProbeModel { features, model }
     }
 
-    /// Infers the per-step target for one run. Row engines take the whole
-    /// step sequence through [`Regressor::predict_batch`], so engines with
-    /// a linear-algebra forward pass run one blocked kernel call per layer
-    /// instead of a `gemv` per step.
+    /// Infers the per-step target for one run.
+    ///
+    /// Row engines predict each distinct feature row once: a bug variant
+    /// repeats its design's healthy rows until its trigger fires, so a
+    /// run's rows repeat often. Rows are grouped by their exact bit
+    /// pattern (`0.0` and `-0.0` apart, equal NaNs together), the distinct
+    /// rows go through [`Regressor::predict`] as one matrix, and each
+    /// prediction is copied back to every step that had its row. The
+    /// result is the per-row prediction bit for bit, because a row
+    /// engine's prediction for a row depends on that row alone.
     pub fn infer(&self, run: &RunSeries) -> Vec<f64> {
-        let rows = self.features.build(run);
+        let x = self.features.build(run);
         match &self.model {
-            Trained::Row(m) => m.predict_batch(&rows),
-            Trained::Seq(m) => m.predict_sequence(&rows),
+            Trained::Row(m) => {
+                let (distinct, slot) = distinct_rows(&x);
+                let preds = m.predict(&distinct);
+                slot.iter().map(|&s| preds[s as usize]).collect()
+            }
+            Trained::Seq(m) => m.predict_sequence(&row_vecs(&x)),
         }
     }
 
@@ -230,6 +258,31 @@ impl ProbeModel {
     pub fn features(&self) -> &FeatureSpec {
         &self.features
     }
+}
+
+/// The distinct rows of `x` by bit pattern, in ascending bit order, and
+/// for every row of `x` the index of its distinct row.
+fn distinct_rows(x: &Matrix) -> (Matrix, Vec<u32>) {
+    let row_bits = |r: u32| x.row(r as usize).iter().map(|v| v.to_bits());
+    let n = u32::try_from(x.rows()).expect("a run has fewer than 2^32 steps");
+    let mut order: Vec<u32> = (0..n).collect();
+    order.sort_unstable_by(|&a, &b| row_bits(a).cmp(row_bits(b)));
+    let mut data = Vec::new();
+    let mut slot = vec![0u32; order.len()];
+    let mut count = 0u32;
+    for (k, &r) in order.iter().enumerate() {
+        if k == 0 || !row_bits(order[k - 1]).eq(row_bits(r)) {
+            data.extend_from_slice(x.row(r as usize));
+            count += 1;
+        }
+        slot[r as usize] = count - 1;
+    }
+    (Matrix::from_vec(count as usize, x.cols(), data), slot)
+}
+
+/// The rows of `x` as owned vectors, the shape the sequence engine takes.
+fn row_vecs(x: &Matrix) -> Vec<Vec<f64>> {
+    (0..x.rows()).map(|r| x.row(r).to_vec()).collect()
 }
 
 /// The paper's Eq. (1): trapezoidal area between the simulated and inferred
@@ -318,15 +371,15 @@ mod tests {
             window: 2,
         };
         let built = spec.build(&run);
-        assert_eq!(built.len(), 5);
+        assert_eq!(built.rows(), 5);
         // 2 selected x window 2 + 1 arch feature.
-        assert_eq!(built[3].len(), 5);
+        assert_eq!(built.cols(), 5);
         // Step 3's window is steps 2 and 3.
-        assert_eq!(built[3][0], run.rows.row(2)[0]);
-        assert_eq!(built[3][2], run.rows.row(3)[0]);
+        assert_eq!(built.row(3)[0], run.rows.row(2)[0]);
+        assert_eq!(built.row(3)[2], run.rows.row(3)[0]);
         // First step clamps to itself.
-        assert_eq!(built[0][0], run.rows.row(0)[0]);
-        assert_eq!(built[0][2], run.rows.row(0)[0]);
+        assert_eq!(built.row(0)[0], run.rows.row(0)[0]);
+        assert_eq!(built.row(0)[2], run.rows.row(0)[0]);
     }
 
     #[test]
@@ -345,6 +398,74 @@ mod tests {
         let err = inference_error(&test.target, &inferred);
         // Near-interpolation on this trivial function.
         assert!(err < 0.5, "error {err}");
+    }
+
+    /// A run that repeats earlier steps (as a bug variant replays its
+    /// design's healthy rows), holds a `0.0`/`-0.0` twin and repeats a NaN.
+    fn repetitive_run() -> RunSeries {
+        let base = toy_run(0.1, 12);
+        let mut rows: Vec<Vec<f64>> = (0..40).map(|t| base.rows.row(t % 12).to_vec()).collect();
+        rows[5][1] = 0.0;
+        rows[6] = rows[5].clone();
+        rows[6][1] = -0.0;
+        rows[17][0] = f64::NAN;
+        rows[30] = rows[17].clone();
+        let target = rows.iter().map(|r| r[1]).collect();
+        RunSeries {
+            rows: RowMatrix::from_rows(&rows),
+            target,
+            arch_features: vec![0.1],
+        }
+    }
+
+    #[test]
+    fn deduplicated_inference_matches_per_row_predictions() {
+        let train: Vec<RunSeries> = (0..3).map(|i| toy_run(i as f64 * 0.2, 25)).collect();
+        let train_refs: Vec<&RunSeries> = train.iter().collect();
+        let gbt = |split_strategy| {
+            EngineSpec::Gbt(GbtParams {
+                n_trees: 30,
+                split_strategy,
+                ..GbtParams::default()
+            })
+        };
+        let engines = [
+            EngineSpec::Lasso(LassoParams::default()),
+            EngineSpec::Mlp(MlpParams {
+                hidden: vec![8],
+                max_epochs: 20,
+                ..MlpParams::default()
+            }),
+            EngineSpec::Cnn(CnnParams {
+                hidden: 8,
+                max_epochs: 10,
+                ..CnnParams::default()
+            }),
+            gbt(SplitStrategy::default()),
+            gbt(SplitStrategy::Exact),
+        ];
+        let run = repetitive_run();
+        for engine in &engines {
+            let features = FeatureSpec {
+                selected: vec![0, 1],
+                arch_features: true,
+                window: 2,
+            };
+            let model = ProbeModel::train(engine, features, &train_refs, &[]);
+            let Trained::Row(m) = &model.model else {
+                panic!("{} is a row engine", engine.name());
+            };
+            let x = model.features.build(&run);
+            assert!(
+                distinct_rows(&x).0.rows() < x.rows(),
+                "the run repeats rows"
+            );
+            let per_row: Vec<u64> = (0..x.rows())
+                .map(|r| m.predict_row(x.row(r)).to_bits())
+                .collect();
+            let inferred: Vec<u64> = model.infer(&run).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(inferred, per_row, "{}", engine.name());
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Ivybridge, Nehalem, AMD K10 and Ryzen 7, plus four artificial designs,
 //! in ChampSim. The paper does not publish the set partitioning for the
 //! memory experiment; we partition analogously to the core experiment
-//! (documented in EXPERIMENTS.md): five designs train the stage-1 models,
+//! (documented in docs/DETECTION.md): five designs train the stage-1 models,
 //! two validate, two more label stage 2, and three (all real) are held out.
 
 use crate::spp::SppConfig;

@@ -34,6 +34,14 @@
 //! `tests/gbt_parity.rs`). A constant feature produces zero cut points and
 //! can never be selected for a split.
 //!
+//! Both splitters write every tree straight into one flat node arena per
+//! ensemble: a node is a `u32` feature, an f64 threshold and two `u32`
+//! child indices, and a leaf holds `learning_rate * weight` and names
+//! itself as both children. Batch prediction ([`Regressor::predict`])
+//! walks the arena tree-major over blocks of rows, each row taking a
+//! tree's depth in steps; training's per-tree prediction update uses the
+//! same walk. It equals [`Regressor::predict_row`] bit for bit.
+//!
 //! ```
 //! use perfbug_ml::{Dataset, Gbt, GbtParams, Regressor, SplitStrategy};
 //!
@@ -60,6 +68,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::dataset::Dataset;
+use crate::matrix::Matrix;
 use crate::Regressor;
 
 /// How split candidates are enumerated while growing trees.
@@ -374,45 +383,143 @@ fn quantile_cuts(sorted: &[f64], max_bins: usize) -> Vec<f64> {
 // Trees
 // --------------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-enum Node {
-    Leaf {
-        weight: f64,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        /// Rows with `x[feature] < threshold` go left.
-        left: usize,
-        right: usize,
-    },
+/// Rows evaluated together by the tree-major batch walk: one tree's nodes
+/// stay hot while every row of the block takes its steps through them.
+const PREDICT_BLOCK: usize = 64;
+
+/// One node of the ensemble's flat arena.
+///
+/// A split sends rows with `x[feature] < value` to `left` and every other
+/// row (NaN included) to `right`. A leaf names itself as both children and
+/// holds its contribution `learning_rate * weight` in `value`, so a walk
+/// that takes more steps than the leaf's depth stays on it.
+#[derive(Debug, Clone, Copy)]
+struct FlatNode {
+    value: f64,
+    feature: u32,
+    left: u32,
+    right: u32,
 }
 
-/// One regression tree stored as a flat arena of nodes.
-#[derive(Debug, Clone)]
-struct Tree {
-    nodes: Vec<Node>,
+impl FlatNode {
+    fn is_leaf(&self) -> bool {
+        self.left == self.right
+    }
+
+    /// The child a row whose `feature` column holds `v` is routed to (the
+    /// node itself for a leaf).
+    fn route(&self, v: f64) -> u32 {
+        if v < self.value {
+            self.left
+        } else {
+            self.right
+        }
+    }
 }
 
-impl Tree {
-    fn predict(&self, x: &[f64]) -> f64 {
-        let mut idx = 0;
-        loop {
-            match &self.nodes[idx] {
-                Node::Leaf { weight } => return *weight,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    idx = if x[*feature] < *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
+/// One tree of the arena: its root node and the length of its longest
+/// root-to-leaf path, which is the number of steps a walk takes.
+#[derive(Debug, Clone, Copy)]
+struct TreeRoot {
+    root: u32,
+    depth: u32,
+}
+
+/// Every tree of an ensemble in one node arena. Trees are stored in
+/// boosting order and each tree's nodes in pre-order, so child indices
+/// always point forward.
+#[derive(Debug, Clone, Default)]
+struct Forest {
+    nodes: Vec<FlatNode>,
+    trees: Vec<TreeRoot>,
+}
+
+impl Forest {
+    /// Opens a new tree; the next node pushed is its root.
+    fn start_tree(&mut self) {
+        let root = self.next_index();
+        self.trees.push(TreeRoot { root, depth: 0 });
+    }
+
+    fn next_index(&self) -> u32 {
+        u32::try_from(self.nodes.len()).expect("GBT node arena exceeds u32 indices")
+    }
+
+    /// Appends a leaf at `depth` of the open tree.
+    fn push_leaf(&mut self, value: f64, depth: usize) -> u32 {
+        let me = self.next_index();
+        self.nodes.push(FlatNode {
+            value,
+            feature: 0,
+            left: me,
+            right: me,
+        });
+        let tree = self
+            .trees
+            .last_mut()
+            .expect("start_tree opens a tree first");
+        tree.depth = tree.depth.max(depth as u32);
+        me
+    }
+
+    /// Reserves a split's slot before its children are pushed, so the
+    /// arena stays in pre-order; [`Forest::set_split`] fills it in.
+    fn reserve_split(&mut self) -> u32 {
+        self.push_leaf(0.0, 0)
+    }
+
+    fn set_split(&mut self, me: u32, feature: usize, threshold: f64, left: u32, right: u32) {
+        self.nodes[me as usize] = FlatNode {
+            value: threshold,
+            feature: feature as u32,
+            left,
+            right,
+        };
+    }
+
+    /// Tree `tree`'s leaf value for row `x`.
+    fn eval(&self, tree: TreeRoot, x: &[f64]) -> f64 {
+        let mut idx = tree.root;
+        for _ in 0..tree.depth {
+            let node = &self.nodes[idx as usize];
+            idx = node.route(x[node.feature as usize]);
+        }
+        self.nodes[idx as usize].value
+    }
+
+    /// Adds tree `tree`'s leaf value to `acc[r]` for every row `r` of the
+    /// row-major block `x` (`acc.len()` rows of `width` features). All rows
+    /// take each step before any row takes the next one; `idx` is scratch
+    /// of `acc.len()` entries.
+    fn add_tree(&self, tree: TreeRoot, x: &[f64], width: usize, acc: &mut [f64], idx: &mut [u32]) {
+        idx.fill(tree.root);
+        for _ in 0..tree.depth {
+            for (r, i) in idx.iter_mut().enumerate() {
+                let node = &self.nodes[*i as usize];
+                // `feature < width`: every split's feature indexes a
+                // column of the training matrix, and callers pass
+                // matrices of the same width.
+                *i = node.route(x[r * width + node.feature as usize]);
             }
+        }
+        for (a, &i) in acc.iter_mut().zip(idx.iter()) {
+            *a += self.nodes[i as usize].value;
+        }
+    }
+
+    /// Runs `f(block rows, block output)` over consecutive blocks of at
+    /// most [`PREDICT_BLOCK`] rows of the row-major `x`.
+    fn for_each_block(
+        x: &[f64],
+        width: usize,
+        out: &mut [f64],
+        mut f: impl FnMut(&[f64], &mut [f64], &mut [u32]),
+    ) {
+        let mut idx = [0u32; PREDICT_BLOCK];
+        for (b, acc) in out.chunks_mut(PREDICT_BLOCK).enumerate() {
+            let start = b * PREDICT_BLOCK * width;
+            let rows = &x[start..start + acc.len() * width];
+            f(rows, acc, &mut idx[..acc.len()]);
         }
     }
 }
@@ -423,7 +530,7 @@ pub struct Gbt {
     params: GbtParams,
     hist_threads: Option<usize>,
     base_score: f64,
-    trees: Vec<Tree>,
+    forest: Forest,
     n_features: usize,
 }
 
@@ -434,7 +541,7 @@ impl Gbt {
             params,
             hist_threads: None,
             base_score: 0.0,
-            trees: Vec::new(),
+            forest: Forest::default(),
             n_features: 0,
         }
     }
@@ -455,53 +562,43 @@ impl Gbt {
 
     /// Number of trees actually grown.
     pub fn n_trees(&self) -> usize {
-        self.trees.len()
+        self.forest.trees.len()
     }
 
     /// Every split's `(feature, threshold)` across all trees, in tree
     /// order (pre-order within each tree). Introspection for feature
     /// audits and the exact-vs-histogram parity suite.
     pub fn split_thresholds(&self) -> Vec<(usize, f64)> {
-        self.trees
+        self.forest
+            .nodes
             .iter()
-            .flat_map(|t| &t.nodes)
-            .filter_map(|n| match n {
-                Node::Split {
-                    feature, threshold, ..
-                } => Some((*feature, *threshold)),
-                Node::Leaf { .. } => None,
-            })
+            .filter(|n| !n.is_leaf())
+            .map(|n| (n.feature as usize, n.value))
             .collect()
     }
 
-    /// Builds one tree on the given rows against gradients/hessians with
-    /// the exact greedy splitter; returns the tree.
-    fn build_tree(&self, data: &Dataset, rows: &[usize], grad: &[f64], hess: &[f64]) -> Tree {
-        let mut tree = Tree { nodes: Vec::new() };
-        self.grow(&mut tree, data, rows.to_vec(), grad, hess, 0);
-        tree
+    /// The leaf entry of a node whose rows have gradient sum `g_sum` and
+    /// hessian sum `h_sum`: the shrunken weight `learning_rate * weight`.
+    fn leaf_value(&self, g_sum: f64, h_sum: f64) -> f64 {
+        let weight = -g_sum / (h_sum + self.params.lambda);
+        self.params.learning_rate * weight
     }
 
-    /// Recursively grows `tree` with exact splits, returning the index of
-    /// the created node.
+    /// Recursively grows the open tree of `forest` with exact splits,
+    /// returning the index of the created node.
     fn grow(
         &self,
-        tree: &mut Tree,
+        forest: &mut Forest,
         data: &Dataset,
         rows: Vec<usize>,
         grad: &[f64],
         hess: &[f64],
         depth: usize,
-    ) -> usize {
+    ) -> u32 {
         let g_sum: f64 = rows.iter().map(|&r| grad[r]).sum();
         let h_sum: f64 = rows.iter().map(|&r| hess[r]).sum();
-        let leaf = |tree: &mut Tree| {
-            let weight = -g_sum / (h_sum + self.params.lambda);
-            tree.nodes.push(Node::Leaf { weight });
-            tree.nodes.len() - 1
-        };
         if depth >= self.params.max_depth || rows.len() < 2 {
-            return leaf(tree);
+            return forest.push_leaf(self.leaf_value(g_sum, h_sum), depth);
         }
 
         // Exact greedy: best split over every feature.
@@ -539,51 +636,44 @@ impl Gbt {
         }
 
         match best {
-            None => leaf(tree),
+            None => forest.push_leaf(self.leaf_value(g_sum, h_sum), depth),
             Some((_, feature, threshold)) => {
                 let (left_rows, right_rows): (Vec<usize>, Vec<usize>) = rows
                     .into_iter()
                     .partition(|&r| data.sample(r).0[feature] < threshold);
-                // Reserve our slot before children are pushed.
-                tree.nodes.push(Node::Leaf { weight: 0.0 });
-                let me = tree.nodes.len() - 1;
-                let left = self.grow(tree, data, left_rows, grad, hess, depth + 1);
-                let right = self.grow(tree, data, right_rows, grad, hess, depth + 1);
-                tree.nodes[me] = Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                };
+                let me = forest.reserve_split();
+                let left = self.grow(forest, data, left_rows, grad, hess, depth + 1);
+                let right = self.grow(forest, data, right_rows, grad, hess, depth + 1);
+                forest.set_split(me, feature, threshold, left, right);
                 me
             }
         }
     }
 
-    /// Builds one tree with histogram split finding.
-    fn build_tree_hist(
+    /// Grows one tree into `forest` with histogram split finding.
+    fn grow_tree_hist(
         &self,
+        forest: &mut Forest,
         binned: &BinnedDataset,
         rows: &[usize],
         grad: &[f64],
         hess: &[f64],
         threads: usize,
-    ) -> Tree {
+    ) {
         let rows: Vec<u32> = rows.iter().map(|&r| r as u32).collect();
         let mut hist = vec![HistBin::default(); binned.total_bins()];
         binned.build_histogram(&rows, grad, hess, &mut hist, threads);
-        let mut tree = Tree { nodes: Vec::new() };
-        self.grow_hist(&mut tree, binned, rows, hist, grad, hess, 0, threads);
-        tree
+        self.grow_hist(forest, binned, rows, hist, grad, hess, 0, threads);
     }
 
-    /// Recursively grows `tree` from per-feature histograms. `hist` is the
-    /// node's own histogram (consumed: the larger child's histogram is
-    /// derived from it in place via the subtraction trick).
+    /// Recursively grows the open tree of `forest` from per-feature
+    /// histograms. `hist` is the node's own histogram (consumed: the larger
+    /// child's histogram is derived from it in place via the subtraction
+    /// trick).
     #[allow(clippy::too_many_arguments)]
     fn grow_hist(
         &self,
-        tree: &mut Tree,
+        forest: &mut Forest,
         binned: &BinnedDataset,
         rows: Vec<u32>,
         hist: Vec<HistBin>,
@@ -591,18 +681,13 @@ impl Gbt {
         hess: &[f64],
         depth: usize,
         threads: usize,
-    ) -> usize {
+    ) -> u32 {
         // Node totals from the row list (not the bins): the same
         // summation order as the exact splitter, so leaf weights agree.
         let g_sum: f64 = rows.iter().map(|&r| grad[r as usize]).sum();
         let h_sum: f64 = rows.iter().map(|&r| hess[r as usize]).sum();
-        let leaf = |tree: &mut Tree| {
-            let weight = -g_sum / (h_sum + self.params.lambda);
-            tree.nodes.push(Node::Leaf { weight });
-            tree.nodes.len() - 1
-        };
         if depth >= self.params.max_depth || rows.len() < 2 {
-            return leaf(tree);
+            return forest.push_leaf(self.leaf_value(g_sum, h_sum), depth);
         }
 
         let parent_score = g_sum * g_sum / (h_sum + self.params.lambda);
@@ -641,7 +726,7 @@ impl Gbt {
         }
 
         match best {
-            None => leaf(tree),
+            None => forest.push_leaf(self.leaf_value(g_sum, h_sum), depth),
             Some((_, feature, cut_idx)) => {
                 let threshold = binned.cuts[feature][cut_idx];
                 let col = binned.feature_codes(feature);
@@ -650,9 +735,7 @@ impl Gbt {
                 let (left_rows, right_rows): (Vec<u32>, Vec<u32>) = rows
                     .into_iter()
                     .partition(|&r| (col[r as usize] as usize) <= cut_idx);
-                // Reserve our slot before children are pushed.
-                tree.nodes.push(Node::Leaf { weight: 0.0 });
-                let me = tree.nodes.len() - 1;
+                let me = forest.reserve_split();
                 // Subtraction trick: scan only the smaller child; the
                 // larger child's histogram is parent minus sibling.
                 let small_is_left = left_rows.len() <= right_rows.len();
@@ -675,7 +758,7 @@ impl Gbt {
                     (large_hist, small_hist)
                 };
                 let left = self.grow_hist(
-                    tree,
+                    forest,
                     binned,
                     left_rows,
                     left_hist,
@@ -685,7 +768,7 @@ impl Gbt {
                     threads,
                 );
                 let right = self.grow_hist(
-                    tree,
+                    forest,
                     binned,
                     right_rows,
                     right_hist,
@@ -694,12 +777,7 @@ impl Gbt {
                     depth + 1,
                     threads,
                 );
-                tree.nodes[me] = Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                };
+                forest.set_split(me, feature, threshold, left, right);
                 me
             }
         }
@@ -715,7 +793,7 @@ impl Regressor for Gbt {
         );
         self.n_features = train.n_features();
         self.base_score = train.y().iter().sum::<f64>() / train.len() as f64;
-        self.trees.clear();
+        let mut forest = Forest::default();
 
         // Binning happens once per fit and is shared by every tree/round.
         let binned = match self.params.split_strategy {
@@ -744,25 +822,51 @@ impl Regressor for Gbt {
             } else {
                 all_rows.clone()
             };
-            let tree = match &binned {
-                Some(b) => self.build_tree_hist(b, &rows, &grad, &hess, threads),
-                None => self.build_tree(train, &rows, &grad, &hess),
-            };
-            for (i, p) in pred.iter_mut().enumerate() {
-                *p += self.params.learning_rate * tree.predict(train.sample(i).0);
+            forest.start_tree();
+            match &binned {
+                Some(b) => self.grow_tree_hist(&mut forest, b, &rows, &grad, &hess, threads),
+                None => {
+                    self.grow(&mut forest, train, rows, &grad, &hess, 0);
+                }
             }
-            self.trees.push(tree);
+            let tree = *forest.trees.last().expect("start_tree opened it");
+            let width = self.n_features;
+            Forest::for_each_block(train.x().as_slice(), width, &mut pred, |x, acc, idx| {
+                forest.add_tree(tree, x, width, acc, idx)
+            });
         }
+        self.forest = forest;
     }
 
     fn predict_row(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.n_features, "feature count mismatch");
         self.base_score
             + self
+                .forest
                 .trees
                 .iter()
-                .map(|t| self.params.learning_rate * t.predict(x))
+                .map(|&t| self.forest.eval(t, x))
                 .sum::<f64>()
+    }
+
+    /// Tree-major batch inference over blocks of 64 rows. Each row adds
+    /// its trees' leaf values in tree order, starting from the value
+    /// `Iterator::<f64>::sum` starts from, and then adds `base_score`: the
+    /// same sum as [`Regressor::predict_row`], bit for bit.
+    fn predict(&self, x: &Matrix) -> Vec<f64> {
+        assert!(
+            x.rows() == 0 || x.cols() == self.n_features,
+            "feature count mismatch"
+        );
+        let empty_sum = std::iter::empty::<f64>().sum::<f64>();
+        let mut out = vec![empty_sum; x.rows()];
+        let width = x.cols();
+        Forest::for_each_block(x.as_slice(), width, &mut out, |rows, acc, idx| {
+            for &tree in &self.forest.trees {
+                self.forest.add_tree(tree, rows, width, acc, idx);
+            }
+        });
+        out.into_iter().map(|sum| self.base_score + sum).collect()
     }
 }
 
@@ -770,6 +874,110 @@ impl Regressor for Gbt {
 mod tests {
     use super::*;
     use crate::metrics::mse;
+    use proptest::prelude::*;
+    use rand::Rng;
+
+    /// Reference evaluator: walks each tree of the arena recursively from
+    /// its root to a leaf, one row at a time, and sums with
+    /// `Iterator::sum`.
+    fn reference_predict_row(m: &Gbt, x: &[f64]) -> f64 {
+        fn walk(nodes: &[FlatNode], i: u32, x: &[f64]) -> f64 {
+            let n = nodes[i as usize];
+            if n.is_leaf() {
+                n.value
+            } else if x[n.feature as usize] < n.value {
+                walk(nodes, n.left, x)
+            } else {
+                walk(nodes, n.right, x)
+            }
+        }
+        let trees = &m.forest.trees;
+        m.base_score
+            + trees
+                .iter()
+                .map(|t| walk(&m.forest.nodes, t.root, x))
+                .sum::<f64>()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn compiled_predict_matches_recursive_reference(
+            seed in 0u64..1_000_000,
+            exact in any::<bool>(),
+            max_depth in 0usize..9,
+            subsample_pct in 40u32..101,
+            n_train in 2usize..160,
+            n_features in 1usize..5,
+            n_trees in 1usize..12,
+            rows_case in 0usize..5,
+        ) {
+            // Training values sit on a coarse grid (so both splitters see
+            // repeats and ties) that includes both zeros.
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let grid = |rng: &mut rand::rngs::StdRng| -> f64 {
+                match rng.gen_range(0..12u32) {
+                    0 => -0.0,
+                    1 => 0.0,
+                    k => (k as f64 - 6.0) * 0.75,
+                }
+            };
+            let train_rows: Vec<Vec<f64>> = (0..n_train)
+                .map(|_| (0..n_features).map(|_| grid(&mut rng)).collect())
+                .collect();
+            // An all-negative-zero target makes every leaf -0.0, which
+            // pins the value the per-row sums start from.
+            let y: Vec<f64> = if seed % 8 == 0 {
+                vec![-0.0; n_train]
+            } else {
+                train_rows
+                    .iter()
+                    .map(|r| r.iter().enumerate().map(|(j, v)| (v * (j + 1) as f64).sin()).sum())
+                    .collect()
+            };
+            let data = Dataset::from_rows(&train_rows, &y).unwrap();
+            let split_strategy = if exact {
+                SplitStrategy::Exact
+            } else {
+                SplitStrategy::Histogram { max_bins: 8 }
+            };
+            let mut m = Gbt::new(GbtParams {
+                n_trees,
+                max_depth,
+                subsample: subsample_pct as f64 / 100.0,
+                seed,
+                split_strategy,
+                ..GbtParams::default()
+            });
+            m.fit(&data, None);
+
+            // Query rows mix the specials with values that equal a split
+            // threshold exactly and values in between.
+            let thresholds: Vec<f64> = m.split_thresholds().iter().map(|&(_, t)| t).collect();
+            let n_rows = [0, 1, PREDICT_BLOCK - 1, PREDICT_BLOCK, PREDICT_BLOCK + 1][rows_case];
+            let specials = [f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY];
+            let flat: Vec<f64> = (0..n_rows * n_features)
+                .map(|_| match rng.gen_range(0..3u32) {
+                    0 => specials[rng.gen_range(0..specials.len())],
+                    1 if !thresholds.is_empty() => thresholds[rng.gen_range(0..thresholds.len())],
+                    _ => grid(&mut rng) + 0.3,
+                })
+                .collect();
+            let x = Matrix::from_vec(n_rows, n_features, flat);
+
+            let batch = m.predict(&x);
+            let reference: Vec<f64> =
+                (0..n_rows).map(|r| reference_predict_row(&m, x.row(r))).collect();
+            let per_row: Vec<f64> = (0..n_rows).map(|r| m.predict_row(x.row(r))).collect();
+            prop_assert_eq!(bits(&batch), bits(&reference));
+            prop_assert_eq!(bits(&per_row), bits(&reference));
+        }
+    }
 
     fn wave_data(n: usize) -> Dataset {
         let rows: Vec<Vec<f64>> = (0..n)

@@ -76,20 +76,16 @@ pub trait Regressor {
     fn predict_row(&self, x: &[f64]) -> f64;
 
     /// Predicts the target for every row of `x`.
+    ///
+    /// The default delegates to [`predict_row`](Regressor::predict_row).
+    /// [`Mlp`] and [`Lasso`] override it to run the whole matrix through
+    /// the blocked `matmul`/`gemv` kernels, and [`Gbt`] to walk its trees
+    /// tree-major over blocks of rows. Overrides match the row-by-row path
+    /// exactly (for the linear-algebra engines, while the reduction fits
+    /// one kernel block of 256 features, and to blocked-summation rounding
+    /// beyond that).
     fn predict(&self, x: &Matrix) -> Vec<f64> {
         (0..x.rows()).map(|r| self.predict_row(x.row(r))).collect()
-    }
-
-    /// Predicts the target for a batch of feature rows.
-    ///
-    /// The default delegates to [`predict_row`](Regressor::predict_row);
-    /// engines whose forward pass is linear-algebra shaped ([`Mlp`],
-    /// [`Lasso`]) override it to run the whole batch through the blocked
-    /// `matmul`/`gemv` kernels. Overrides must match the row-by-row path
-    /// exactly while the reduction fits one kernel block (256 features),
-    /// and to blocked-summation rounding beyond that.
-    fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        rows.iter().map(|r| self.predict_row(r)).collect()
     }
 }
 

@@ -140,26 +140,21 @@ impl Regressor for Lasso {
         self.intercept + dot(&z, &self.weights)
     }
 
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
-        (0..x.rows()).map(|r| self.predict_row(x.row(r))).collect()
-    }
-
-    /// Batched inference: one blocked [`gemv`] over the scaled row block
+    /// Batched inference: one blocked [`gemv`] over the scaled rows
     /// instead of a dot product per row.
-    fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
+    fn predict(&self, x: &Matrix) -> Vec<f64> {
         let scaler = self
             .scaler
             .as_ref()
-            .expect("Lasso::predict_batch called before fit");
+            .expect("Lasso::predict called before fit");
         let d = self.weights.len();
-        let mut flat = Vec::with_capacity(rows.len() * d);
-        for r in rows {
-            let start = flat.len();
-            flat.extend_from_slice(r);
-            scaler.transform_row_in_place(&mut flat[start..]);
+        assert!(x.rows() == 0 || x.cols() == d, "feature count mismatch");
+        let mut flat = x.as_slice().to_vec();
+        for row in flat.chunks_mut(x.cols().max(1)) {
+            scaler.transform_row_in_place(row);
         }
-        let mut y = vec![0.0; rows.len()];
-        gemv(&flat, rows.len(), d, &self.weights, &mut y);
+        let mut y = vec![0.0; x.rows()];
+        gemv(&flat, x.rows(), d, &self.weights, &mut y);
         for v in &mut y {
             *v += self.intercept;
         }
@@ -232,7 +227,7 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..300)
             .map(|i| vec![(i as f64 * 0.31).sin() * 4.0, (i as f64 * 0.17).cos(), 1.0])
             .collect();
-        let batched = m.predict_batch(&rows);
+        let batched = m.predict(&Matrix::from_rows(&rows).unwrap());
         let scalar: Vec<f64> = rows.iter().map(|r| m.predict_row(r)).collect();
         assert_eq!(batched, scalar);
     }

@@ -13,7 +13,7 @@ use rand::SeedableRng;
 
 use crate::adam::Adam;
 use crate::dataset::Dataset;
-use crate::matrix::{gemv_acc, matmul, matmul_ta, matmul_transb};
+use crate::matrix::{gemv_acc, matmul, matmul_ta, matmul_transb, Matrix};
 use crate::metrics::mse;
 use crate::scaler::StandardScaler;
 use crate::Regressor;
@@ -363,25 +363,25 @@ impl Regressor for Mlp {
     /// Batched inference: scale the rows into one flat buffer and run the
     /// same chunked `X · Wᵀ` matmul forward pass training uses, instead of
     /// one `gemv` per row.
-    fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
+    fn predict(&self, x: &Matrix) -> Vec<f64> {
         let scaler = self
             .scaler
             .as_ref()
-            .expect("Mlp::predict_batch called before fit");
+            .expect("Mlp::predict called before fit");
         let n_in = self.sizes[0];
+        assert!(x.rows() == 0 || x.cols() == n_in, "feature count mismatch");
         let mut scratch = MlpScratch::for_sizes(&self.sizes);
-        let mut preds = Vec::with_capacity(rows.len());
-        for chunk in rows.chunks(EVAL_CHUNK) {
+        let mut preds = Vec::with_capacity(x.rows());
+        for start in (0..x.rows()).step_by(EVAL_CHUNK) {
+            let n = EVAL_CHUNK.min(x.rows() - start);
             let input = &mut scratch.acts[0];
             input.clear();
-            input.reserve(chunk.len() * n_in);
-            for r in chunk {
-                let start = input.len();
-                input.extend_from_slice(r);
-                scaler.transform_row_in_place(&mut input[start..]);
+            input.extend_from_slice(&x.as_slice()[start * n_in..(start + n) * n_in]);
+            for row in input.chunks_mut(n_in.max(1)) {
+                scaler.transform_row_in_place(row);
             }
-            self.forward_batch(chunk.len(), &mut scratch);
-            preds.extend_from_slice(&self.acts_output(&scratch)[..chunk.len()]);
+            self.forward_batch(n, &mut scratch);
+            preds.extend_from_slice(&self.acts_output(&scratch)[..n]);
         }
         preds
     }
@@ -452,7 +452,7 @@ mod tests {
                 vec![t, t * t]
             })
             .collect();
-        let batched = m.predict_batch(&rows);
+        let batched = m.predict(&Matrix::from_rows(&rows).unwrap());
         let scalar: Vec<f64> = rows.iter().map(|r| m.predict_row(r)).collect();
         assert_eq!(batched, scalar);
     }
