@@ -3,9 +3,19 @@
 //! Paper shape: Lasso fastest to train but worst errors; LSTMs slowest
 //! with occasional non-convergent outliers (huge mean, sane median);
 //! MLPs and GBTs accurate, with GBT cheap to train; GBT-250 best overall.
+//!
+//! The Training and Inference columns are the wall-clock stage-1 time
+//! this process spent per engine during the collection
+//! (`exec::stage1_times`). Corpora carry no timings, so when the corpus
+//! is replayed from `PERFBUG_CACHE_DIR` (or collected by orchestrated
+//! worker processes) no engine was trained here and both columns read
+//! "replayed".
+
+use std::collections::BTreeMap;
 
 use perfbug_bench::{banner, bench_scale, cnn, gbt150, gbt250, lasso, lstm, mlp, BenchScale};
 use perfbug_core::bugs::BugCatalog;
+use perfbug_core::exec::{stage1_times, Stage1Time};
 use perfbug_core::experiment::bugfree_test_errors;
 use perfbug_core::report::{stats, Table};
 use perfbug_uarch::BugSpec;
@@ -47,7 +57,9 @@ fn main() {
             .max_probes
             .map_or("all".to_string(), |n| n.to_string())
     );
+    let before = stage1_times();
     let col = perfbug_bench::collect_cached("table04", &config);
+    let after = stage1_times();
 
     let mut table = Table::new(vec![
         "ML Model",
@@ -58,13 +70,27 @@ fn main() {
         "Median",
         "90th Perc.",
     ]);
+    let mut replayed = false;
     for (e, engine) in col.engines.iter().enumerate() {
         let errors = bugfree_test_errors(&col, e);
         let (mean, std, median, p90) = stats(&errors);
+        let spent = |times: &BTreeMap<String, Stage1Time>| {
+            times.get(&engine.name).copied().unwrap_or_default()
+        };
+        let (t0, t1) = (spent(&before), spent(&after));
+        let (train, infer) = if t1 == t0 {
+            replayed = true;
+            ("replayed".to_string(), "replayed".to_string())
+        } else {
+            (
+                format!("{:.1?}", t1.train - t0.train),
+                format!("{:.1?}", t1.infer - t0.infer),
+            )
+        };
         table.row(vec![
             engine.name.clone(),
-            format!("{:.1?}", engine.train_time),
-            format!("{:.1?}", engine.infer_time),
+            train,
+            infer,
             format!("{mean:.4}"),
             format!("{std:.4}"),
             format!("{median:.4}"),
@@ -72,6 +98,12 @@ fn main() {
         ]);
     }
     println!("{}", table.render());
+    if replayed {
+        println!(
+            "replayed: no engine was trained in this process (the corpus came from the \
+             cache or from orchestrated worker processes)."
+        );
+    }
     println!("expected shape: Lasso fastest/worst; LSTM slowest (outlier-prone);");
     println!("MLP and GBT accurate with GBT far cheaper to train.");
 }

@@ -43,9 +43,8 @@ use perfbug_core::experiment::Collection;
 use perfbug_core::orchestrate::{report_path_for, REPORT_EXTENSION};
 use perfbug_core::persist::{
     decode_collection_with, is_part_file_name, is_temp_file_name, merge_collections,
-    parse_cache_file_name, read_header, read_header_with_version, save_collection_with,
-    scan_part_file, verify_stream, ChunkEntry, FileHeader, PersistError, CORPUS_REVISION,
-    FILE_EXTENSION, FORMAT_VERSION,
+    parse_cache_file_name, read_header, save_collection_with, scan_part_file, verify_stream,
+    ChunkEntry, FileHeader, PersistError, CORPUS_REVISION, FILE_EXTENSION, FORMAT_VERSION,
 };
 use perfbug_core::serve::is_tenant_dir_name;
 use perfbug_core::tracecache::{
@@ -146,15 +145,10 @@ fn read_bytes(path: &Path) -> Result<Vec<u8>, String> {
     std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
 }
 
-fn print_header(header: &FileHeader, version: u32) {
-    println!(
-        "  format version:  {version}{}",
-        if version == FORMAT_VERSION {
-            ""
-        } else {
-            "  (legacy: readable, rewritten as v3 on the next collection)"
-        }
-    );
+/// Prints a header; only [`FORMAT_VERSION`] headers decode, so that is
+/// the version shown.
+fn print_header(header: &FileHeader) {
+    println!("  format version:  {FORMAT_VERSION}");
     println!(
         "  corpus revision: {}{}",
         header.corpus_revision,
@@ -180,12 +174,10 @@ fn print_shapes(col: &Collection) {
     );
     for engine in &col.engines {
         println!(
-            "    engine {:<12} deltas {}x{}  train {:.2?}  infer {:.2?}",
+            "    engine {:<12} deltas {}x{}",
             engine.name,
             engine.deltas.len(),
             engine.deltas.first().map_or(0, Vec::len),
-            engine.train_time,
-            engine.infer_time
         );
     }
 }
@@ -207,7 +199,7 @@ fn inspect(args: &[String]) -> Result<(), String> {
         {
             match scan_part_file(path) {
                 Ok(prefix) => {
-                    print_header(&prefix.header, FORMAT_VERSION);
+                    print_header(&prefix.header);
                     println!(
                         "  in-flight part:  {} probe(s) durably recoverable, {} torn tail byte(s)",
                         prefix.probes, prefix.torn_bytes
@@ -231,15 +223,15 @@ fn inspect(args: &[String]) -> Result<(), String> {
             continue;
         }
         let bytes = read_bytes(path)?;
-        let (header, version) = match read_header_with_version(&bytes) {
-            Ok(hv) => hv,
+        let header = match read_header(&bytes) {
+            Ok(header) => header,
             Err(e) => {
                 println!("  unreadable header: {e}");
                 failed = true;
                 continue;
             }
         };
-        print_header(&header, version);
+        print_header(&header);
         match decode_collection_with(&bytes, None) {
             Ok((col, _)) => print_shapes(&col),
             Err(e) => {
@@ -247,15 +239,13 @@ fn inspect(args: &[String]) -> Result<(), String> {
                 failed = true;
             }
         }
-        // The v3 chunk/offset index enables O(chunk) random access;
-        // surface it so a human can see what `read_probe` would seek to.
-        if version == FORMAT_VERSION {
-            match perfbug_core::persist::ProbeReader::open(path, None) {
-                Ok(reader) => print_chunk_index(reader.chunk_index()),
-                Err(e) => {
-                    println!("  chunk index:     INVALID ({e})");
-                    failed = true;
-                }
+        // The chunk/offset index enables O(chunk) random access; surface
+        // it so a human can see what `read_probe` would seek to.
+        match perfbug_core::persist::ProbeReader::open(path, None) {
+            Ok(reader) => print_chunk_index(reader.chunk_index()),
+            Err(e) => {
+                println!("  chunk index:     INVALID ({e})");
+                failed = true;
             }
         }
         print_provenance(path);
@@ -360,13 +350,10 @@ fn print_provenance(path: &Path) {
 /// Key grouping the shard files of one collection pass.
 type PassKey = (String, u64);
 
-/// Chunk-by-chunk streaming verification of one v3 file: per-chunk
-/// status lines, O(chunk) peak memory. Falls back to a full in-memory
-/// decode for a legacy v2 file (which has no chunk structure to stream).
+/// Chunk-by-chunk streaming verification of one file: per-chunk status
+/// lines, O(chunk) peak memory.
 fn verify_one_streaming(path: &Path) -> Result<FileHeader, String> {
-    let mut n = 0usize;
-    match verify_stream(path, None, |entry: &ChunkEntry| {
-        n += 1;
+    verify_stream(path, None, |entry: &ChunkEntry| {
         if entry.is_meta() {
             println!(
                 "  chunk meta    @{:>8} len {:>8} ok",
@@ -381,18 +368,8 @@ fn verify_one_streaming(path: &Path) -> Result<FileHeader, String> {
                 entry.probe_end()
             );
         }
-    }) {
-        Ok(header) => Ok(header),
-        Err(PersistError::Version { found, .. }) if found != FORMAT_VERSION => {
-            // Legacy v2: whole-file decode is the only validation.
-            let bytes = read_bytes(path)?;
-            let (_, header) = decode_collection_with(&bytes, None)
-                .map_err(|e| format!("legacy v{found} file: {e}"))?;
-            println!("  legacy v{found} file: validated by full decode (not streamable)");
-            Ok(header)
-        }
-        Err(e) => Err(e.to_string()),
-    }
+    })
+    .map_err(|e| e.to_string())
 }
 
 fn verify(args: &[String]) -> Result<(), String> {
@@ -963,6 +940,81 @@ mod tests {
         dir
     }
 
+    /// The version-3 encoding of `col`: this build's layout plus the
+    /// per-engine `(train, infer)` wall-clock table v3 kept at the end of
+    /// its footer, stamped version 3 and re-sealed.
+    fn v3_bytes(col: &Collection, header: &FileHeader) -> Vec<u8> {
+        let v4 = perfbug_core::persist::encode_collection_with(col, header);
+        let (body, trailer) = v4.split_at(v4.len() - 16);
+        let mut v3 = body.to_vec();
+        v3[4..8].copy_from_slice(&3u32.to_le_bytes());
+        v3.extend_from_slice(&(col.engines.len() as u64).to_le_bytes());
+        for _ in &col.engines {
+            // Two durations: u64 seconds + u32 nanos each.
+            v3.extend_from_slice(&[0u8; 24]);
+        }
+        v3.extend_from_slice(&trailer[..8]); // the footer offset is unchanged
+        let checksum = perfbug_core::persist::fnv1a(&v3);
+        v3.extend_from_slice(&checksum.to_le_bytes());
+        v3
+    }
+
+    #[test]
+    fn v3_files_are_version_errors_and_pruned() {
+        use perfbug_core::experiment::{EngineResult, ProbeMeta, RunKey};
+        use perfbug_core::persist::{cache_file_name, load_or_assemble, ShardManifest};
+        use perfbug_core::ExperimentKind;
+
+        let dir = scratch("v3");
+        let col = Collection {
+            keys: vec![RunKey {
+                arch: "Skylake".into(),
+                set: perfbug_uarch::ArchSet::IV,
+                bug: None,
+            }],
+            probes: vec![ProbeMeta {
+                id: "bench#0".into(),
+                benchmark: "bench".into(),
+                weight: 1.0,
+            }],
+            engines: vec![EngineResult {
+                name: "GBT-0".into(),
+                deltas: vec![vec![0.25]],
+            }],
+            overall_ipc: vec![vec![1.0]],
+            agg_features: vec![vec![vec![0.5]]],
+            captures: Vec::new(),
+            catalog: perfbug_core::BugCatalog::core_small(),
+        };
+        let kind = ExperimentKind::Core;
+        let header = FileHeader {
+            kind,
+            corpus_revision: CORPUS_REVISION,
+            fingerprint: 0x33,
+            manifest: ShardManifest::full(1),
+        };
+        let path = dir.join(cache_file_name("old", kind, 0x33));
+        let bytes = v3_bytes(&col, &header);
+        std::fs::write(&path, &bytes).expect("write v3 file");
+
+        let is_v3 = |e: PersistError| {
+            matches!(
+                e,
+                PersistError::Version {
+                    found: 3,
+                    expected: 4
+                }
+            )
+        };
+        assert!(decode_collection_with(&bytes, None).is_err_and(is_v3));
+        assert!(verify_stream(&path, None, |_| {}).is_err_and(is_v3));
+        assert!(load_or_assemble(&path, kind, 0x33).is_err_and(is_v3));
+
+        prune_dir(&dir, false, ORPHAN_TEMP_AGE).expect("prune");
+        assert!(!path.exists(), "a v3 file must be evicted");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn prune_evicts_only_orphaned_temps() {
         let dir = scratch("prune-temps");
@@ -1127,20 +1179,17 @@ mod tests {
         )
         .expect("writer");
         writer
-            .append_probe(
-                &ProbeRecord {
-                    meta: ProbeMeta {
-                        id: "bench#0".into(),
-                        benchmark: "bench".into(),
-                        weight: 1.0,
-                    },
-                    overall: vec![1.0],
-                    agg: vec![vec![0.5]],
-                    deltas: vec![vec![0.25]],
-                    captures: Vec::new(),
+            .append_probe(&ProbeRecord {
+                meta: ProbeMeta {
+                    id: "bench#0".into(),
+                    benchmark: "bench".into(),
+                    weight: 1.0,
                 },
-                &[(Duration::ZERO, Duration::ZERO)],
-            )
+                overall: vec![1.0],
+                agg: vec![vec![0.5]],
+                deltas: vec![vec![0.25]],
+                captures: Vec::new(),
+            })
             .expect("append");
         drop(writer); // unfinished on purpose: the part IS the artifact
         let resumable = part_path_for(&target);

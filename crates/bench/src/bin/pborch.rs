@@ -44,7 +44,6 @@ use perfbug_bench::specs::{
     flag_value, parse_num, resolve_spec, run_worker, worker_command, SpecConfig, SPECS,
 };
 use perfbug_core::exec::ShardSpec;
-use perfbug_core::experiment::Collection;
 use perfbug_core::orchestrate::{self, remote, CollectPlan, Fault, OrchestratorConfig};
 use perfbug_core::persist::{encode_collection_with, FileHeader, ShardManifest, CORPUS_REVISION};
 
@@ -59,8 +58,8 @@ USAGE:
                                         (default: PERFBUG_ORCH_HOSTS; unset
                                         means local child processes)
                   [--check-full]        also collect single-process and fail
-                                        unless the merged corpus is
-                                        bit-identical (timings zeroed)
+                                        unless the merged corpus file is
+                                        byte-identical
     pborch worker --spec <name> --cache-dir <dir> --shard <i>/<n>
                   (internal: one shard worker's turn; run exits after the
                    shard is saved)
@@ -232,19 +231,20 @@ fn run(args: &[String]) -> Result<(), String> {
 
     if check_full {
         println!("check-full: collecting single-process reference ...");
-        let header = |col: &Collection| FileHeader {
-            kind,
-            corpus_revision: CORPUS_REVISION,
-            fingerprint,
-            manifest: ShardManifest::full(col.probes.len()),
-        };
-        let mut orchestrated = run.collection;
-        let mut reference = common.spec.collect_full();
-        orchestrated.zero_timings();
-        reference.zero_timings();
-        let orch_bytes = encode_collection_with(&orchestrated, &header(&orchestrated));
-        let ref_bytes = encode_collection_with(&reference, &header(&reference));
-        if orch_bytes != ref_bytes {
+        let reference = common.spec.collect_full();
+        let ref_bytes = encode_collection_with(
+            &reference,
+            &FileHeader {
+                kind,
+                corpus_revision: CORPUS_REVISION,
+                fingerprint,
+                manifest: ShardManifest::full(reference.probes.len()),
+            },
+        );
+        let path = plan.full_path();
+        let orch_bytes =
+            std::fs::read(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        if run.collection != reference || orch_bytes != ref_bytes {
             return Err(format!(
                 "orchestrated corpus is NOT bit-identical to the single-process collection \
                  ({} vs {} encoded bytes)",
@@ -253,8 +253,8 @@ fn run(args: &[String]) -> Result<(), String> {
             ));
         }
         println!(
-            "check-full: merged corpus is bit-identical to the single-process collection \
-             ({} encoded bytes, timings zeroed)",
+            "check-full: merged corpus file is byte-identical to the single-process \
+             collection ({} bytes)",
             orch_bytes.len()
         );
     }

@@ -19,18 +19,13 @@
 //!   buffer. The core and memory experiments parameterise this single
 //!   driver with their trace builder, simulator and counter-selection
 //!   policy;
-//! * a sharded **work-stealing index scheduler** ([`Scheduler`]) — each
-//!   worker owns a contiguous shard of the task range and claims indices
-//!   with a single atomic `fetch_add`; once its shard is drained it steals
-//!   from the shard with the most remaining work, so skewed run costs
-//!   cannot idle a core;
-//! * **lock-free per-slot result writes** ([`SlotVec`]) — every task
-//!   publishes its result through its own `OnceLock`, eliminating the
-//!   global results mutex of the previous probe-granular loop;
-//! * [`parallel_map`] / [`parallel_map_with`] — scoped-thread drivers that
-//!   tie the two together and preserve index order, so results are
-//!   byte-identical regardless of worker count (the baseline's
-//!   leave-one-type-out folds run on them);
+//! * [`parallel_map`] — an order-preserving scoped-thread map over a few
+//!   dozen independent tasks (per-benchmark probe extraction, the
+//!   baseline's leave-one-type-out folds), byte-identical for any worker
+//!   count;
+//! * [`simulations_run`] and [`stage1_times`] — process-wide tallies of
+//!   what the pool did, sampled around a pass by replay guards and bench
+//!   targets;
 //! * [`ShardSpec`] — multi-process scale-out. A shard restricts the driver
 //!   to a deterministic contiguous probe range of the grid; because every
 //!   probe's pipeline is independent and deterministic, the union of any
@@ -39,9 +34,9 @@
 //!   format (see `docs/FORMAT.md` and `docs/ARCHITECTURE.md`).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::experiment::{CapturedSeries, DELTA_CEILING};
@@ -56,170 +51,47 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// One worker's contiguous slice of the task range.
-#[derive(Debug)]
-struct Shard {
-    /// Next unclaimed task index; may legitimately run past `end` when
-    /// thieves race, which simply means the shard is drained.
-    next: AtomicUsize,
-    /// One past the last task index of the shard.
-    end: usize,
-}
-
-impl Shard {
-    fn remaining(&self) -> usize {
-        self.end.saturating_sub(self.next.load(Ordering::Relaxed))
-    }
-
-    /// Claims the next index of this shard, if any is left.
-    fn claim(&self) -> Option<usize> {
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i < self.end).then_some(i)
-    }
-}
-
-/// Work-stealing scheduler over the task indices `0..n_tasks`.
-///
-/// Claiming is wait-free in the common case (one `fetch_add` on the
-/// worker's own shard) and lock-free when stealing.
-#[derive(Debug)]
-pub struct Scheduler {
-    shards: Vec<Shard>,
-}
-
-impl Scheduler {
-    /// Partitions `0..n_tasks` into `workers` near-equal contiguous shards.
-    pub fn new(n_tasks: usize, workers: usize) -> Self {
-        let workers = workers.max(1);
-        let base = n_tasks / workers;
-        let extra = n_tasks % workers;
-        let mut shards = Vec::with_capacity(workers);
-        let mut start = 0;
-        for w in 0..workers {
-            let len = base + usize::from(w < extra);
-            shards.push(Shard {
-                next: AtomicUsize::new(start),
-                end: start + len,
-            });
-            start += len;
-        }
-        Scheduler { shards }
-    }
-
-    /// Claims the next task for `worker`: from its own shard while it
-    /// lasts, then by stealing from the fullest other shard. Returns
-    /// `None` only once every task index has been claimed.
-    pub fn claim(&self, worker: usize) -> Option<usize> {
-        if let Some(i) = self.shards[worker % self.shards.len()].claim() {
-            return Some(i);
-        }
-        loop {
-            let victim = self
-                .shards
-                .iter()
-                .max_by_key(|s| s.remaining())
-                .filter(|s| s.remaining() > 0)?;
-            if let Some(i) = victim.claim() {
-                return Some(i);
-            }
-            // Lost the race for the victim's last tasks; rescan.
-        }
-    }
-}
-
-/// A fixed-size vector of write-once result slots.
-///
-/// Each parallel task publishes into its own slot, so no lock is shared
-/// between workers and results keep task order.
-#[derive(Debug)]
-pub struct SlotVec<T> {
-    slots: Vec<OnceLock<T>>,
-}
-
-impl<T> SlotVec<T> {
-    /// Creates `n` empty slots.
-    pub fn new(n: usize) -> Self {
-        SlotVec {
-            slots: (0..n).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    /// Publishes the result of task `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slot `i` was already filled — every task index must be
-    /// claimed exactly once.
-    pub fn set(&self, i: usize, value: T) {
-        if self.slots[i].set(value).is_err() {
-            panic!("slot {i} filled twice");
-        }
-    }
-
-    /// Reads the result of task `i`, if published.
-    pub fn get(&self, i: usize) -> Option<&T> {
-        self.slots[i].get()
-    }
-
-    /// Unwraps all slots into a plain vector, preserving task order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slot is still empty.
-    pub fn into_vec(self) -> Vec<T> {
-        self.slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.into_inner()
-                    .unwrap_or_else(|| panic!("slot {i} never filled"))
-            })
-            .collect()
-    }
-}
-
-/// Runs `task(worker_state, index)` for every index in `0..n_tasks` on
-/// `threads` scoped workers (clamped to at least 1) and returns the
-/// results in index order. `init` builds one reusable state per worker
-/// (scratch buffers, pools); the single-threaded path runs inline without
-/// spawning.
-pub fn parallel_map_with<T, S, I, F>(n_tasks: usize, threads: usize, init: I, task: F) -> Vec<T>
-where
-    T: Send + Sync,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let threads = threads.max(1).min(n_tasks.max(1));
-    if threads == 1 {
-        let mut state = init();
-        return (0..n_tasks).map(|i| task(&mut state, i)).collect();
-    }
-    let scheduler = Scheduler::new(n_tasks, threads);
-    let slots = SlotVec::new(n_tasks);
-    std::thread::scope(|scope| {
-        for worker in 0..threads {
-            let scheduler = &scheduler;
-            let slots = &slots;
-            let init = &init;
-            let task = &task;
-            scope.spawn(move || {
-                let mut state = init();
-                while let Some(i) = scheduler.claim(worker) {
-                    slots.set(i, task(&mut state, i));
-                }
-            });
-        }
-    });
-    slots.into_vec()
-}
-
-/// [`parallel_map_with`] without per-worker state.
+/// Runs `task(i)` for every index in `0..n_tasks` on up to `threads`
+/// scoped workers and returns the results in index order, so the output
+/// is identical for any worker count. Workers claim the next unclaimed
+/// index from one shared counter, so a slow task never idles the others;
+/// with one worker (or at most one task) the map runs inline.
 pub fn parallel_map<T, F>(n_tasks: usize, threads: usize, task: F) -> Vec<T>
 where
-    T: Send + Sync,
+    T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    parallel_map_with(n_tasks, threads, || (), |(), i| task(i))
+    let threads = threads.clamp(1, n_tasks.max(1));
+    if threads == 1 {
+        return (0..n_tasks).map(task).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n_tasks {
+                return done;
+            }
+            done.push((i, task(i)));
+        }
+    };
+    let mut slots: Vec<Option<T>> = (0..n_tasks).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(claim)).collect();
+        for worker in workers {
+            let done = worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, value) in done {
+                slots[i] = Some(value);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every index is claimed exactly once"))
+        .collect()
 }
 
 // --------------------------------------------------------------------------
@@ -230,9 +102,9 @@ where
 /// [`collect_unit_grid_streaming`].
 ///
 /// Incremented once per (probe, unit) simulation task. The replay tooling
-/// (`examples/replay.rs`, the CI replay guard, `speed_test`) samples it
-/// around a cache load to prove that an evaluation-only replay performed
-/// zero simulations.
+/// (`examples/replay.rs`, the CI replay guard) samples it around a cache
+/// load to prove that an evaluation-only replay performed zero
+/// simulations.
 static SIMULATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Total number of simulation units run by this process so far.
@@ -240,11 +112,46 @@ pub fn simulations_run() -> u64 {
     SIMULATIONS.load(Ordering::Relaxed)
 }
 
+/// Wall-clock stage-1 time one engine spent in this process.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Stage1Time {
+    /// Summed over the engine's training tasks.
+    pub train: Duration,
+    /// Summed over the engine's inference tasks.
+    pub infer: Duration,
+}
+
+/// Process-wide stage-1 wall-clock tally per engine name, fed by the
+/// train and infer tasks of [`collect_unit_grid_streaming`]. Wall-clock
+/// readings live here and never in a [`Collection`](crate::experiment::Collection),
+/// so corpora stay deterministic.
+static STAGE1_TIMES: Mutex<BTreeMap<String, Stage1Time>> = Mutex::new(BTreeMap::new());
+
+/// Stage-1 wall-clock time per engine name spent by this process so far.
+/// Sampled before and after a collection, the difference is that pass's
+/// training and inference time; an engine whose entry did not move was
+/// not run in this process (its corpus was replayed or collected by
+/// other processes).
+pub fn stage1_times() -> BTreeMap<String, Stage1Time> {
+    STAGE1_TIMES
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone()
+}
+
+/// Adds one task's wall-clock time to `engine`'s tally.
+fn note_stage1_time(engine: &EngineSpec, time: Stage1Time) {
+    let mut tally = STAGE1_TIMES.lock().unwrap_or_else(PoisonError::into_inner);
+    let entry = tally.entry(engine.name()).or_default();
+    entry.train += time.train;
+    entry.infer += time.infer;
+}
+
 /// Process-wide count of probe traces regenerated from their workload
 /// program (`Probe::trace`) by the collection paths.
 ///
 /// The trace-cache tooling (`examples/trace_cache.rs`, the CI trace-cache
-/// guard, `speed_test`, `core/tests/trace_equiv.rs`) samples it around a
+/// guard, `core/tests/trace_equiv.rs`) samples it around a
 /// warm collection pass to prove that a populated
 /// [`TraceStore`](crate::tracecache::TraceStore) serves every trace from
 /// disk — zero regenerations — while cold passes and cache rejections are
@@ -323,9 +230,9 @@ impl ShardSpec {
 
     /// The contiguous probe range this shard owns out of `n_probes`.
     ///
-    /// Near-equal partition, identical to the scheduler's: the first
-    /// `n_probes % count` shards take one extra probe. Shards beyond the
-    /// probe count legitimately own an empty range.
+    /// Near-equal partition: the first `n_probes % count` shards take one
+    /// extra probe. Shards beyond the probe count legitimately own an
+    /// empty range.
     pub fn probe_range(&self, n_probes: usize) -> std::ops::Range<usize> {
         let base = n_probes / self.count;
         let extra = n_probes % self.count;
@@ -358,11 +265,6 @@ pub struct UnitGrid {
 pub struct EngineProbeOutput {
     /// Eq.-(1) inference errors for this probe, one per run key.
     pub deltas: Vec<f64>,
-    /// Wall-clock stage-1 training time of this (probe, engine) pair.
-    pub train_time: Duration,
-    /// Wall-clock stage-1 inference time of this (probe, engine) pair,
-    /// summed over its inference tasks.
-    pub infer_time: Duration,
     /// Captured (simulated, inferred) series, in key order.
     pub captures: Vec<CapturedSeries>,
 }
@@ -429,7 +331,7 @@ enum Done<T> {
     Trace(T),
     Simulate((RunSeries, f64)),
     Prepare(FeatureSpec, Vec<Vec<f64>>, Vec<f64>),
-    Train(ProbeModel, Duration),
+    Train(ProbeModel),
     Infer(InferChunk),
 }
 
@@ -437,13 +339,11 @@ enum Done<T> {
 struct InferChunk {
     deltas: Vec<f64>,
     captures: Vec<CapturedSeries>,
-    time: Duration,
 }
 
 /// One engine's state within an admitted probe.
 struct EngineState {
     model: Option<Arc<ProbeModel>>,
-    train_time: Duration,
     chunks: Vec<Option<InferChunk>>,
 }
 
@@ -469,14 +369,11 @@ impl<T> Resident<T> {
         let engines = self.engines.into_iter().map(|engine| {
             let mut out = EngineProbeOutput {
                 deltas: Vec::with_capacity(self.overall.len()),
-                train_time: engine.train_time,
-                infer_time: Duration::ZERO,
                 captures: Vec::new(),
             };
             for chunk in engine.chunks.into_iter().flatten() {
                 out.deltas.extend(chunk.deltas);
                 out.captures.extend(chunk.captures);
-                out.infer_time += chunk.time;
             }
             out
         });
@@ -525,7 +422,6 @@ impl<T> Pool<T> {
                 engines: (0..self.n_engines)
                     .map(|_| EngineState {
                         model: None,
-                        train_time: Duration::ZERO,
                         chunks: (0..self.n_chunks).map(|_| None).collect(),
                     })
                     .collect(),
@@ -610,10 +506,8 @@ impl<T> Pool<T> {
                 r.overall = overall;
                 (0..*n_engines).for_each(|e| queue(Stage::Train, e, 0));
             }
-            Done::Train(model, time) => {
-                let engine = &mut r.engines[task.engine];
-                engine.model = Some(Arc::new(model));
-                engine.train_time = time;
+            Done::Train(model) => {
+                r.engines[task.engine].model = Some(Arc::new(model));
                 (0..*n_chunks).for_each(|c| queue(Stage::Infer, task.engine, c));
             }
             Done::Infer(chunk) => r.engines[task.engine].chunks[task.item] = Some(chunk),
@@ -794,18 +688,27 @@ where
             Job::Train(runs, features) => {
                 let pick = |units: &[usize]| units.iter().map(|&u| &runs[u].0).collect::<Vec<_>>();
                 let (train, val) = (pick(&grid.train_units), pick(&grid.val_units));
+                let engine = &engines[task.engine];
                 let t0 = Instant::now();
-                let model = ProbeModel::train(&engines[task.engine], features, &train, &val);
-                Done::Train(model, t0.elapsed())
+                let model = ProbeModel::train(engine, features, &train, &val);
+                let train = t0.elapsed();
+                note_stage1_time(
+                    engine,
+                    Stage1Time {
+                        train,
+                        ..Default::default()
+                    },
+                );
+                Done::Train(model)
             }
             Job::Infer(runs, model) => {
                 let t0 = Instant::now();
+                let engine = &engines[task.engine];
                 let first = task.item * INFER_CHUNK;
                 let keys = &grid.key_units[first..(first + INFER_CHUNK).min(n_keys)];
                 let mut chunk = InferChunk {
                     deltas: Vec::with_capacity(keys.len()),
                     captures: Vec::new(),
-                    time: Duration::ZERO,
                 };
                 for (pos, &u) in (first..).zip(keys) {
                     let series = &runs[u].0;
@@ -815,12 +718,18 @@ where
                         delta = DELTA_CEILING;
                     }
                     chunk.deltas.push(delta);
-                    let engine = &engines[task.engine];
                     if let Some(c) = capture(task.probe, pos, engine, series, &inferred) {
                         chunk.captures.push(c);
                     }
                 }
-                chunk.time = t0.elapsed();
+                let infer = t0.elapsed();
+                note_stage1_time(
+                    engine,
+                    Stage1Time {
+                        infer,
+                        ..Default::default()
+                    },
+                );
                 Done::Infer(chunk)
             }
         }
@@ -892,35 +801,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn scheduler_claims_every_task_exactly_once() {
-        for (n, workers) in [(0, 3), (1, 4), (7, 2), (100, 8), (5, 16)] {
-            let scheduler = Scheduler::new(n, workers);
-            let mut seen = vec![0u32; n];
-            for w in 0..workers {
-                while let Some(i) = scheduler.claim(w) {
-                    seen[i] += 1;
-                }
-            }
-            assert!(
-                seen.iter().all(|&c| c == 1),
-                "n={n} workers={workers}: {seen:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn stealing_drains_skewed_shards() {
-        // Worker 1 never claims; worker 0 must steal worker 1's shard dry.
-        let scheduler = Scheduler::new(10, 2);
-        let mut count = 0;
-        while scheduler.claim(0).is_some() {
-            count += 1;
-        }
-        assert_eq!(count, 10);
-    }
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -933,25 +813,6 @@ mod tests {
         let serial = parallel_map(257, 1, |i| (i as u64).wrapping_mul(0x9e3779b9));
         let parallel = parallel_map(257, 8, |i| (i as u64).wrapping_mul(0x9e3779b9));
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn worker_state_is_reused() {
-        // Each worker counts its claims in local state; the total across
-        // workers must equal the task count.
-        let total = AtomicU64::new(0);
-        let out = parallel_map_with(
-            64,
-            4,
-            || 0u64,
-            |claims, i| {
-                *claims += 1;
-                total.fetch_add(1, Ordering::Relaxed);
-                i
-            },
-        );
-        assert_eq!(out.len(), 64);
-        assert_eq!(total.load(Ordering::Relaxed), 64);
     }
 
     #[test]
@@ -1298,14 +1159,6 @@ mod tests {
                 |_| {},
             )
         }));
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn slotvec_rejects_double_set() {
-        let slots = SlotVec::new(2);
-        slots.set(0, 1);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| slots.set(0, 2)));
         assert!(result.is_err());
     }
 }

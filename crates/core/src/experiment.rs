@@ -9,8 +9,6 @@
 //! classifiers (or the baseline) are re-fit per held-out bug type from the
 //! collected error matrix.
 
-use std::time::Duration;
-
 use perfbug_uarch::{presets, simulate, ArchSet, BugSpec, MicroarchConfig};
 use perfbug_workloads::{spec2006, BenchmarkSpec, Probe, Program, RowMatrix, WorkloadScale};
 
@@ -165,10 +163,6 @@ pub struct EngineResult {
     pub name: String,
     /// Eq.-(1) inference errors, `[probe][run key]`.
     pub deltas: Vec<Vec<f64>>,
-    /// Total stage-1 training time across probes.
-    pub train_time: Duration,
-    /// Total stage-1 inference time across probes and runs.
-    pub infer_time: Duration,
 }
 
 /// Everything the evaluation phase needs, collected in one pass.
@@ -192,20 +186,6 @@ pub struct Collection {
     pub captures: Vec<CapturedSeries>,
     /// The bug catalogue used.
     pub catalog: BugCatalog,
-}
-
-impl Collection {
-    /// Zeroes the per-engine wall-clock timing fields — the only
-    /// legitimately nondeterministic part of a collection (shard times
-    /// sum, single-process times are measured in one go). Bit-identity
-    /// checks (the replay/orchestrate guards, the shard property suites)
-    /// call this on both sides before comparing encodings.
-    pub fn zero_timings(&mut self) {
-        for engine in &mut self.engines {
-            engine.train_time = std::time::Duration::ZERO;
-            engine.infer_time = std::time::Duration::ZERO;
-        }
-    }
 }
 
 /// Configuration of one collection pass.
@@ -475,7 +455,7 @@ pub fn collect<C: ExperimentConfig>(config: &C) -> Collection {
 /// results are bit-identical whether collected in a full pass or in any
 /// shard; merging a disjoint covering set of shards
 /// (`crate::persist::merge_collections`) reassembles the single-process
-/// collection exactly (wall-clock timings aside, which sum over shards).
+/// collection exactly.
 ///
 /// # Panics
 ///
@@ -495,8 +475,6 @@ pub fn collect_sharded<C: ExperimentConfig>(
             .map(|name| EngineResult {
                 name,
                 deltas: Vec::new(),
-                train_time: Duration::ZERO,
-                infer_time: Duration::ZERO,
             })
             .collect(),
         overall_ipc: Vec::new(),
@@ -511,8 +489,6 @@ pub fn collect_sharded<C: ExperimentConfig>(
             col.agg_features.push(po.agg);
             for (engine, o) in col.engines.iter_mut().zip(po.engines) {
                 engine.deltas.push(o.deltas);
-                engine.train_time += o.train_time;
-                engine.infer_time += o.infer_time;
                 col.captures.extend(o.captures);
             }
             Ok(())

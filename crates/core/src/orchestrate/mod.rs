@@ -25,11 +25,10 @@
 //!   [`load_or_assemble`](crate::persist::load_or_assemble), which
 //!   streams the shard files into the full file through
 //!   [`merge_shard_files`](crate::persist::merge_shard_files), so the
-//!   result is bit-identical (wall-clock timings aside) to a
-//!   single-process collection **for any schedule of worker losses** —
-//!   shard workers write atomically (temp file + rename, see
-//!   `docs/FORMAT.md`), so a killed worker can never leave a partial
-//!   `.pbcol` visible to assembly;
+//!   result is bit-identical to a single-process collection **for any
+//!   schedule of worker losses** — shard workers write atomically (temp
+//!   file + rename, see `docs/FORMAT.md`), so a killed worker can never
+//!   leave a partial `.pbcol` visible to assembly;
 //! * every run emits a machine-readable JSON **run report** (per-shard
 //!   attempts, outcomes, worker assignments, timings) next to the cache
 //!   file; `pbcol inspect` prints it as shard-attempt provenance.
@@ -1029,9 +1028,8 @@ pub fn verify_shard_file(plan: &CollectPlan, shard: ShardSpec) -> Result<(), Str
 /// 4. assemble the full collection through the shard-merge path and save
 ///    it.
 ///
-/// The assembled corpus is bit-identical (wall-clock timings aside) to a
-/// single-process collection regardless of how many attempts died along
-/// the way, because shard files are written atomically and every retry
+/// The assembled corpus is bit-identical to a single-process collection
+/// regardless of how many attempts died along the way, because shard files are written atomically and every retry
 /// recomputes a deterministic shard.
 pub fn orchestrate_collection<B>(
     plan: &CollectPlan,

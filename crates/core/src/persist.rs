@@ -52,7 +52,6 @@ use std::fs;
 use std::io;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use perfbug_uarch::{ArchSet, BugSpec};
 use perfbug_workloads::Opcode;
@@ -64,7 +63,7 @@ use crate::experiment::{
 use crate::memory::MemCollectionConfig;
 
 /// Version of the on-disk format. Bump on any layout change; readers
-/// reject every version except this one and [`LEGACY_FORMAT_VERSION`].
+/// reject every other version with [`PersistError::Version`].
 ///
 /// * v1 — magic, version, fingerprint, payload, checksum.
 /// * v2 — adds the corpus revision, the experiment kind and the shard
@@ -77,13 +76,11 @@ use crate::memory::MemCollectionConfig;
 ///   random access ([`ProbeReader`]), streaming shard concatenation
 ///   ([`merge_shard_files`]) and crash-recoverable resumable shard
 ///   writes ([`ShardStreamWriter`], [`scan_part`]).
-pub const FORMAT_VERSION: u32 = 3;
-
-/// The previous on-disk format, still accepted by every read path
-/// (read-compat shim): v2 files in an existing `PERFBUG_CACHE_DIR`
-/// replay without recollection. Writers always emit [`FORMAT_VERSION`];
-/// the streaming/resume machinery is v3-only.
-pub const LEGACY_FORMAT_VERSION: u32 = 2;
+/// * v4 — drops the per-engine wall-clock timing totals from the footer,
+///   which is now the chunk index alone, so a corpus is a deterministic
+///   function of its configuration. Wall-clock time is tallied in
+///   memory by [`crate::exec::stage1_times`].
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Version of the *corpus semantics*: what the collection pipeline would
 /// produce for a given configuration. Folded into every config
@@ -350,10 +347,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Version token frozen into the fingerprint canon. This is *not*
 /// [`FORMAT_VERSION`]: fingerprints identify what the collection pipeline
-/// would produce, and the v2→v3 codec change reshaped only the container,
-/// not the data — so v2-era cache files (and their fingerprint-bearing
-/// names) must keep matching. Bump [`CORPUS_REVISION`] — not this — when
-/// collection *output* changes.
+/// would produce, and codec changes (v2→v3→v4) reshape only the
+/// container, not the data — so cache file names stay stable across them.
+/// Bump [`CORPUS_REVISION`] — not this — when collection *output* changes.
 const FINGERPRINT_VERSION: u32 = 2;
 
 /// Fingerprint of everything in a [`CollectionConfig`] that shapes the
@@ -560,11 +556,6 @@ impl Enc {
             }
         }
     }
-
-    pub(crate) fn duration(&mut self, d: Duration) {
-        self.u64(d.as_secs());
-        self.u32(d.subsec_nanos());
-    }
 }
 
 /// Cursor-based decoder; every read is bounds-checked so truncated input
@@ -658,17 +649,6 @@ impl<'b> Dec<'b> {
             1 => Ok(Some(self.usize()?)),
             t => Err(PersistError::Corrupt(format!("invalid option tag {t}"))),
         }
-    }
-
-    pub(crate) fn duration(&mut self) -> Result<Duration, PersistError> {
-        let secs = self.u64()?;
-        let nanos = self.u32()?;
-        if nanos >= 1_000_000_000 {
-            return Err(PersistError::Corrupt(format!(
-                "invalid subsecond nanos {nanos}"
-            )));
-        }
-        Ok(Duration::new(secs, nanos))
     }
 }
 
@@ -845,7 +825,7 @@ fn dec_bug(dec: &mut Dec) -> Result<BugSpec, PersistError> {
 }
 
 // --------------------------------------------------------------------------
-// v3 chunk codec
+// Chunk codec
 // --------------------------------------------------------------------------
 
 /// Chunk kind: the single meta chunk (keys, engine roster, catalogue).
@@ -863,10 +843,10 @@ pub(crate) const CHUNK_OVERHEAD: usize = CHUNK_FRAME_LEN + 8;
 /// gives probe-granular crash recovery and random access, which is what
 /// the resume path and [`ProbeReader`] are for.
 const PROBES_PER_CHUNK: u32 = 1;
-/// Bytes of the fixed v3 trailer: `footer_offset u64 | file fnv64`.
+/// Bytes of the fixed trailer: `footer_offset u64 | file fnv64`.
 pub(crate) const TRAILER_LEN: usize = 16;
 
-/// One row of the v3 footer's chunk index, locating and identifying a
+/// One row of the footer's chunk index, locating and identifying a
 /// chunk without touching its bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkEntry {
@@ -898,7 +878,7 @@ impl ChunkEntry {
 }
 
 /// The decoded meta chunk: the probe-independent identity of a
-/// collection, written once at the front of every v3 file so a resumed
+/// collection, written once at the front of every file so a resumed
 /// or streaming reader knows the axes before any probe is decoded.
 #[derive(Debug, Clone, PartialEq)]
 struct MetaSection {
@@ -908,10 +888,9 @@ struct MetaSection {
 }
 
 /// Everything one probe contributes to a collection, as stored inside a
-/// v3 probe chunk: metadata, per-key overall metric, baseline aggregate
+/// probe chunk: metadata, per-key overall metric, baseline aggregate
 /// rows, one delta row per engine (in meta-chunk roster order) and any
-/// captured series. Engine wall-clock timings are *not* per-probe on
-/// disk — totals live in the footer.
+/// captured series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProbeRecord {
     /// Probe metadata.
@@ -1108,13 +1087,8 @@ pub(crate) fn parse_chunk(bytes: &[u8], offset: usize) -> Result<ParsedChunk<'_>
     })
 }
 
-/// Serialises the v3 footer: the chunk index followed by the per-engine
-/// wall-clock timing totals. Timings live here — not in probe chunks —
-/// because a whole collection's per-engine times cannot be attributed to
-/// individual probes after the fact, and because a resumed write loses
-/// the crashed attempt's measurements anyway (bit-identity comparisons
-/// run after `Collection::zero_timings`).
-fn enc_footer(chunks: &[ChunkEntry], times: &[(Duration, Duration)]) -> Vec<u8> {
+/// Serialises the footer: the chunk index, one entry per chunk.
+fn enc_footer(chunks: &[ChunkEntry]) -> Vec<u8> {
     let mut enc = Enc::new();
     enc.usize(chunks.len());
     for c in chunks {
@@ -1125,17 +1099,11 @@ fn enc_footer(chunks: &[ChunkEntry], times: &[(Duration, Duration)]) -> Vec<u8> 
         enc.u32(c.n_probes);
         enc.u64(c.checksum);
     }
-    enc.usize(times.len());
-    for &(train, infer) in times {
-        enc.duration(train);
-        enc.duration(infer);
-    }
     enc.buf
 }
 
-/// Decodes a v3 footer; `bytes` must hold exactly the footer.
-#[allow(clippy::type_complexity)]
-fn dec_footer(bytes: &[u8]) -> Result<(Vec<ChunkEntry>, Vec<(Duration, Duration)>), PersistError> {
+/// Decodes a footer; `bytes` must hold exactly the footer.
+fn dec_footer(bytes: &[u8]) -> Result<Vec<ChunkEntry>, PersistError> {
     let mut dec = Dec::new(bytes);
     let n_chunks = dec.usize()?;
     if n_chunks > bytes.len() / 37 {
@@ -1155,21 +1123,16 @@ fn dec_footer(bytes: &[u8]) -> Result<(Vec<ChunkEntry>, Vec<(Duration, Duration)
             checksum: dec.u64()?,
         });
     }
-    let n_engines = dec.len()?;
-    let mut times = Vec::with_capacity(n_engines);
-    for _ in 0..n_engines {
-        times.push((dec.duration()?, dec.duration()?));
-    }
     if dec.pos != bytes.len() {
         return Err(PersistError::Corrupt(format!(
             "{} trailing bytes after footer",
             bytes.len() - dec.pos
         )));
     }
-    Ok((chunks, times))
+    Ok(chunks)
 }
 
-/// Validates a v3 chunk table against the header: exactly one meta chunk
+/// Validates a chunk table against the header: exactly one meta chunk
 /// first (at the fixed header boundary), contiguous chunk extents ending
 /// at the footer, and probe chunks covering exactly the manifest's probe
 /// range in order.
@@ -1238,153 +1201,17 @@ fn validate_chunk_table(
     Ok(())
 }
 
-/// Serialises the legacy v2 monolithic payload (the whole collection as
-/// one blob). Retained only for the v2 read-compat fixture encoder; v3
-/// writers go through the chunked layout above.
-fn enc_collection_v2(enc: &mut Enc, col: &Collection) {
-    enc.usize(col.keys.len());
-    for key in &col.keys {
-        enc.str(&key.arch);
-        enc_arch_set(enc, key.set);
-        enc.opt_usize(key.bug);
-    }
-    enc.usize(col.probes.len());
-    for p in &col.probes {
-        enc.str(&p.id);
-        enc.str(&p.benchmark);
-        enc.f64(p.weight);
-    }
-    enc.usize(col.engines.len());
-    for e in &col.engines {
-        enc.str(&e.name);
-        enc.duration(e.train_time);
-        enc.duration(e.infer_time);
-        enc.usize(e.deltas.len());
-        for row in &e.deltas {
-            enc.f64s(row);
-        }
-    }
-    enc.usize(col.overall_ipc.len());
-    for row in &col.overall_ipc {
-        enc.f64s(row);
-    }
-    enc.usize(col.agg_features.len());
-    for probe_rows in &col.agg_features {
-        enc.usize(probe_rows.len());
-        for row in probe_rows {
-            enc.f64s(row);
-        }
-    }
-    enc.usize(col.captures.len());
-    for c in &col.captures {
-        enc.str(&c.probe_id);
-        enc.str(&c.arch);
-        enc.opt_usize(c.bug);
-        enc.str(&c.engine);
-        enc.f64s(&c.simulated);
-        enc.f64s(&c.inferred);
-    }
-    enc.usize(col.catalog.len());
-    for bug in col.catalog.variants() {
-        enc_bug(enc, bug);
-    }
-}
-
-/// Decodes the legacy v2 monolithic payload (read-compat shim).
-fn dec_collection_v2(dec: &mut Dec) -> Result<Collection, PersistError> {
-    let n_keys = dec.len()?;
-    let mut keys = Vec::with_capacity(n_keys);
-    for _ in 0..n_keys {
-        keys.push(RunKey {
-            arch: dec.str()?,
-            set: dec_arch_set(dec)?,
-            bug: dec.opt_usize()?,
-        });
-    }
-    let n_probes = dec.len()?;
-    let mut probes = Vec::with_capacity(n_probes);
-    for _ in 0..n_probes {
-        probes.push(ProbeMeta {
-            id: dec.str()?,
-            benchmark: dec.str()?,
-            weight: dec.f64()?,
-        });
-    }
-    let n_engines = dec.len()?;
-    let mut engines = Vec::with_capacity(n_engines);
-    for _ in 0..n_engines {
-        let name = dec.str()?;
-        let train_time = dec.duration()?;
-        let infer_time = dec.duration()?;
-        let n_rows = dec.len()?;
-        let mut deltas = Vec::with_capacity(n_rows);
-        for _ in 0..n_rows {
-            deltas.push(dec.f64s()?);
-        }
-        engines.push(EngineResult {
-            name,
-            deltas,
-            train_time,
-            infer_time,
-        });
-    }
-    let n_overall = dec.len()?;
-    let mut overall_ipc = Vec::with_capacity(n_overall);
-    for _ in 0..n_overall {
-        overall_ipc.push(dec.f64s()?);
-    }
-    let n_agg = dec.len()?;
-    let mut agg_features = Vec::with_capacity(n_agg);
-    for _ in 0..n_agg {
-        let n_rows = dec.len()?;
-        let mut rows = Vec::with_capacity(n_rows);
-        for _ in 0..n_rows {
-            rows.push(dec.f64s()?);
-        }
-        agg_features.push(rows);
-    }
-    let n_caps = dec.len()?;
-    let mut captures = Vec::with_capacity(n_caps);
-    for _ in 0..n_caps {
-        captures.push(CapturedSeries {
-            probe_id: dec.str()?,
-            arch: dec.str()?,
-            bug: dec.opt_usize()?,
-            engine: dec.str()?,
-            simulated: dec.f64s()?,
-            inferred: dec.f64s()?,
-        });
-    }
-    let n_bugs = dec.len()?;
-    if n_bugs == 0 {
-        return Err(PersistError::Corrupt("empty bug catalogue".into()));
-    }
-    let mut variants = Vec::with_capacity(n_bugs);
-    for _ in 0..n_bugs {
-        variants.push(dec_bug(dec)?);
-    }
-    Ok(Collection {
-        keys,
-        probes,
-        engines,
-        overall_ipc,
-        agg_features,
-        captures,
-        catalog: BugCatalog::new(variants),
-    })
-}
-
 // --------------------------------------------------------------------------
 // File format
 // --------------------------------------------------------------------------
 
-/// Size of the fixed v2 header: magic, version, corpus revision, kind,
+/// Size of the fixed header: magic, version, corpus revision, kind,
 /// fingerprint and the five shard-manifest fields (see `docs/FORMAT.md`).
 const HEADER_LEN: usize = 4 + 4 + 4 + 1 + 8 + (4 + 4 + 8 + 8 + 8);
 
-fn enc_header(enc: &mut Enc, header: &FileHeader, version: u32) {
+fn enc_header(enc: &mut Enc, header: &FileHeader) {
     enc.buf.extend_from_slice(&MAGIC);
-    enc.u32(version);
+    enc.u32(FORMAT_VERSION);
     enc.u32(header.corpus_revision);
     enc.u8(header.kind.wire());
     enc.u64(header.fingerprint);
@@ -1395,12 +1222,14 @@ fn enc_header(enc: &mut Enc, header: &FileHeader, version: u32) {
     enc.u64(header.manifest.total_probes);
 }
 
-fn dec_header(dec: &mut Dec) -> Result<(FileHeader, u32), PersistError> {
+/// Decodes the fixed header. Any version other than [`FORMAT_VERSION`] is
+/// [`PersistError::Version`]: older files are never reinterpreted.
+fn dec_header(dec: &mut Dec) -> Result<FileHeader, PersistError> {
     if dec.take(4)? != MAGIC {
         return Err(PersistError::Corrupt("bad magic".into()));
     }
     let version = dec.u32()?;
-    if version != FORMAT_VERSION && version != LEGACY_FORMAT_VERSION {
+    if version != FORMAT_VERSION {
         return Err(PersistError::Version {
             found: version,
             expected: FORMAT_VERSION,
@@ -1417,15 +1246,12 @@ fn dec_header(dec: &mut Dec) -> Result<(FileHeader, u32), PersistError> {
         total_probes: dec.u64()?,
     };
     manifest.validate()?;
-    Ok((
-        FileHeader {
-            kind,
-            corpus_revision,
-            fingerprint,
-            manifest,
-        },
-        version,
-    ))
+    Ok(FileHeader {
+        kind,
+        corpus_revision,
+        fingerprint,
+        manifest,
+    })
 }
 
 /// Splits a collection into per-probe [`ProbeRecord`]s, bucketing the
@@ -1469,10 +1295,10 @@ fn collection_to_records(col: &Collection) -> Vec<ProbeRecord> {
 }
 
 /// Serialises a collection (full or one shard) under its header in the
-/// v3 chunked layout.
+/// chunked layout.
 ///
 /// Layout: fixed header, one meta chunk, one probe chunk per probe, the
-/// footer (chunk index + per-engine timing totals), then the trailer
+/// footer (the chunk index), then the trailer
 /// `footer_offset u64 | fnv64` whose checksum covers every preceding
 /// byte (see `docs/FORMAT.md`).
 ///
@@ -1489,7 +1315,7 @@ pub fn encode_collection_with(col: &Collection, header: &FileHeader) -> Vec<u8> 
         "shard manifest must cover exactly the collection's probes"
     );
     let mut enc = Enc::new();
-    enc_header(&mut enc, header, FORMAT_VERSION);
+    enc_header(&mut enc, header);
     let mut chunks = Vec::with_capacity(col.probes.len() + 1);
     let mut push_chunk = |enc: &mut Enc, kind, first_probe, n_probes, payload: &[u8]| {
         let offset = enc.buf.len() as u64;
@@ -1523,31 +1349,9 @@ pub fn encode_collection_with(col: &Collection, header: &FileHeader) -> Vec<u8> 
             &payload.buf,
         );
     }
-    let times: Vec<(Duration, Duration)> = col
-        .engines
-        .iter()
-        .map(|e| (e.train_time, e.infer_time))
-        .collect();
     let footer_offset = enc.buf.len() as u64;
-    enc.buf.extend_from_slice(&enc_footer(&chunks, &times));
+    enc.buf.extend_from_slice(&enc_footer(&chunks));
     enc.u64(footer_offset);
-    let checksum = fnv1a(&enc.buf);
-    enc.u64(checksum);
-    enc.buf
-}
-
-/// Serialises a collection in the **legacy v2** monolithic layout.
-/// Production writers always emit v3 — this exists so tests can mint v2
-/// fixtures and prove the read-compat shim keeps old caches loadable.
-pub fn encode_collection_v2_with(col: &Collection, header: &FileHeader) -> Vec<u8> {
-    assert_eq!(
-        header.manifest.probes(),
-        col.probes.len() as u64,
-        "shard manifest must cover exactly the collection's probes"
-    );
-    let mut enc = Enc::new();
-    enc_header(&mut enc, header, LEGACY_FORMAT_VERSION);
-    enc_collection_v2(&mut enc, col);
     let checksum = fnv1a(&enc.buf);
     enc.u64(checksum);
     enc.buf
@@ -1573,13 +1377,6 @@ pub fn encode_collection(col: &Collection, fingerprint: u64) -> Vec<u8> {
 /// tooling uses this to triage files cheaply; anything that consumes the
 /// payload must go through [`decode_collection_with`].
 pub fn read_header(bytes: &[u8]) -> Result<FileHeader, PersistError> {
-    dec_header(&mut Dec::new(bytes)).map(|(h, _)| h)
-}
-
-/// [`read_header`] that also reports the file's format version (2 or 3),
-/// for tooling that must branch between the legacy monolithic layout and
-/// the v3 chunked one.
-pub fn read_header_with_version(bytes: &[u8]) -> Result<(FileHeader, u32), PersistError> {
     dec_header(&mut Dec::new(bytes))
 }
 
@@ -1596,7 +1393,7 @@ pub fn read_header_checked(bytes: &[u8]) -> Result<FileHeader, PersistError> {
         )));
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let (header, _) = dec_header(&mut Dec::new(body))?;
+    let header = dec_header(&mut Dec::new(body))?;
     let stored_checksum = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
     if fnv1a(body) != stored_checksum {
         return Err(PersistError::Corrupt("checksum mismatch".into()));
@@ -1607,8 +1404,7 @@ pub fn read_header_checked(bytes: &[u8]) -> Result<FileHeader, PersistError> {
 /// Decodes a serialised collection, validating magic, version, checksum,
 /// then (when `expected` is given) the config fingerprint, then the
 /// payload and its consistency with the shard manifest. Accepts both full
-/// and shard files in either the v3 chunked or the legacy v2 monolithic
-/// layout; the returned header says which shard this was.
+/// and shard files; the returned header says which shard this was.
 pub fn decode_collection_with(
     bytes: &[u8],
     expected: Option<u64>,
@@ -1620,8 +1416,7 @@ pub fn decode_collection_with(
         )));
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let mut dec = Dec::new(body);
-    let (header, version) = dec_header(&mut dec)?;
+    let header = dec_header(&mut Dec::new(body))?;
     let stored_checksum = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
     if fnv1a(body) != stored_checksum {
         return Err(PersistError::Corrupt("checksum mismatch".into()));
@@ -1634,18 +1429,7 @@ pub fn decode_collection_with(
             });
         }
     }
-    let col = if version == LEGACY_FORMAT_VERSION {
-        let col = dec_collection_v2(&mut dec)?;
-        if dec.pos != body.len() {
-            return Err(PersistError::Corrupt(format!(
-                "{} trailing bytes after payload",
-                body.len() - dec.pos
-            )));
-        }
-        col
-    } else {
-        decode_v3_body(body, &header)?
-    };
+    let col = decode_body(body, &header)?;
     if header.manifest.probes() != col.probes.len() as u64 {
         return Err(PersistError::Corrupt(format!(
             "manifest covers {} probes but payload holds {}",
@@ -1656,16 +1440,14 @@ pub fn decode_collection_with(
     Ok((col, header))
 }
 
-/// Decodes the v3 chunked body of `body` (the file minus its final
+/// Decodes the chunked body of `body` (the file minus its final
 /// whole-file checksum) into a [`Collection`]. The caller has already
 /// validated magic, version and the whole-file checksum.
-fn decode_v3_body(body: &[u8], header: &FileHeader) -> Result<Collection, PersistError> {
+fn decode_body(body: &[u8], header: &FileHeader) -> Result<Collection, PersistError> {
     // Trailer: the last 8 bytes of `body` are the footer offset (the
     // whole-file checksum that follows has been split off already).
     if body.len() < HEADER_LEN + 8 {
-        return Err(PersistError::Corrupt(
-            "file too short for a v3 trailer".into(),
-        ));
+        return Err(PersistError::Corrupt("file too short for a trailer".into()));
     }
     let (rest, off_bytes) = body.split_at(body.len() - 8);
     let footer_offset = u64::from_le_bytes(off_bytes.try_into().expect("8 bytes"));
@@ -1675,19 +1457,15 @@ fn decode_v3_body(body: &[u8], header: &FileHeader) -> Result<Collection, Persis
         .ok_or_else(|| {
             PersistError::Corrupt(format!("footer offset {footer_offset} is out of bounds"))
         })?;
-    let (chunks, times) = dec_footer(&rest[footer_offset..])?;
+    let chunks = dec_footer(&rest[footer_offset..])?;
     validate_chunk_table(&chunks, footer_offset as u64, header)?;
-    assemble_v3(body, &chunks, &times)
+    assemble_chunks(body, &chunks)
 }
 
 /// Decodes the meta chunk plus every probe chunk and assembles them into
 /// a [`Collection`]. Chunk checksums are validated both against the
 /// bytes and against the footer's copy.
-fn assemble_v3(
-    bytes: &[u8],
-    chunks: &[ChunkEntry],
-    times: &[(Duration, Duration)],
-) -> Result<Collection, PersistError> {
+fn assemble_chunks(bytes: &[u8], chunks: &[ChunkEntry]) -> Result<Collection, PersistError> {
     let chunk_at = |entry: &ChunkEntry| -> Result<ParsedChunk<'_>, PersistError> {
         let offset = entry.offset as usize;
         let end = offset + entry.len as usize;
@@ -1720,25 +1498,15 @@ fn assemble_v3(
         }
         meta
     };
-    if times.len() != meta.engine_names.len() {
-        return Err(PersistError::Corrupt(format!(
-            "footer times {} engines but the roster has {}",
-            times.len(),
-            meta.engine_names.len()
-        )));
-    }
     let mut col = Collection {
         keys: meta.keys,
         probes: Vec::new(),
         engines: meta
             .engine_names
             .into_iter()
-            .zip(times)
-            .map(|(name, &(train_time, infer_time))| EngineResult {
+            .map(|name| EngineResult {
                 name,
                 deltas: Vec::new(),
-                train_time,
-                infer_time,
             })
             .collect(),
         overall_ipc: Vec::new(),
@@ -1789,7 +1557,7 @@ pub fn decode_collection(bytes: &[u8], expected: u64) -> Result<Collection, Pers
 // Crash recovery: part-file scanning and the resumable shard writer
 // --------------------------------------------------------------------------
 
-/// The durable prefix recovered from a half-written v3 part file.
+/// The durable prefix recovered from a half-written part file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveredPrefix {
     /// The header the crashed writer was writing under.
@@ -1808,7 +1576,7 @@ pub struct RecoveredPrefix {
     pub chunks: Vec<ChunkEntry>,
 }
 
-/// Scans the bytes of a half-written v3 part file and recovers its
+/// Scans the bytes of a half-written part file and recovers its
 /// durable chunk prefix.
 ///
 /// The scan validates the fixed header, then requires a fully valid meta
@@ -1821,17 +1589,10 @@ pub struct RecoveredPrefix {
 /// scans cleanly — its footer bytes simply fail to parse as a chunk and
 /// count as torn tail, so callers should try a normal load first.
 ///
-/// Only [`FORMAT_VERSION`] parts are resumable; a v2 file is rejected
-/// with [`PersistError::Version`].
+/// Only [`FORMAT_VERSION`] parts are resumable; any other version is
+/// [`PersistError::Version`].
 pub fn scan_part(bytes: &[u8]) -> Result<RecoveredPrefix, PersistError> {
-    let mut dec = Dec::new(bytes);
-    let (header, version) = dec_header(&mut dec)?;
-    if version != FORMAT_VERSION {
-        return Err(PersistError::Version {
-            found: version,
-            expected: FORMAT_VERSION,
-        });
-    }
+    let header = dec_header(&mut Dec::new(bytes))?;
     let meta_chunk = parse_chunk(&bytes[HEADER_LEN..], HEADER_LEN)
         .map_err(|e| PersistError::Corrupt(format!("part file has no valid meta chunk: {e}")))?;
     if meta_chunk.kind != CHUNK_META || meta_chunk.first_probe != 0 || meta_chunk.n_probes != 0 {
@@ -1912,7 +1673,7 @@ pub fn scan_part_file(path: &Path) -> Result<RecoveredPrefix, PersistError> {
     scan_part(&bytes)
 }
 
-/// Incremental writer of one v3 shard file with crash recovery.
+/// Incremental writer of one shard file with crash recovery.
 ///
 /// The writer appends to a deterministic sibling part file
 /// ([`part_path_for`]) — invisible to every reader and to cache
@@ -1925,11 +1686,9 @@ pub fn scan_part_file(path: &Path) -> Result<RecoveredPrefix, PersistError> {
 /// truncates the torn tail and continues from the first missing probe.
 ///
 /// Consistency model: process kill, not power loss — chunks are not
-/// fsynced (matching the v2 writer's temp-file + rename discipline).
-/// Engine wall-clock timings accumulate in memory and land in the
-/// footer; a resumed attempt restarts them at zero, so recovered files
-/// compare bit-identical to uninterrupted ones only after
-/// `Collection::zero_timings`.
+/// fsynced (matching the whole-file writer's temp-file + rename
+/// discipline). A recovered file is byte-identical to an uninterrupted
+/// one.
 ///
 /// Dropping an unfinished writer intentionally leaves the part file on
 /// disk — that *is* the resumable artifact.
@@ -1943,7 +1702,6 @@ pub struct ShardStreamWriter {
     offset: u64,
     hash: u64,
     next_probe: u64,
-    times: Vec<(Duration, Duration)>,
     resumed: u64,
 }
 
@@ -1968,7 +1726,7 @@ impl ShardStreamWriter {
         catalog: &BugCatalog,
     ) -> Result<Self, PersistError> {
         let mut expected = Enc::new();
-        enc_header(&mut expected, header, FORMAT_VERSION);
+        enc_header(&mut expected, header);
         let meta = MetaSection {
             keys: keys.to_vec(),
             engine_names: engine_names.to_vec(),
@@ -2001,7 +1759,6 @@ impl ShardStreamWriter {
             Err(e) if e.kind() == io::ErrorKind::NotFound => None,
             Err(e) => return Err(e.into()),
         };
-        let zero = vec![(Duration::ZERO, Duration::ZERO); engine_names.len()];
         match recovered {
             Some((prefix, hash)) => {
                 let file = fs::OpenOptions::new().write(true).open(&part)?;
@@ -2017,7 +1774,6 @@ impl ShardStreamWriter {
                     offset: prefix.durable_len,
                     hash,
                     next_probe: header.manifest.probe_start + prefix.probes,
-                    times: zero,
                     resumed: prefix.probes,
                     chunks: prefix.chunks,
                 })
@@ -2034,7 +1790,6 @@ impl ShardStreamWriter {
                     offset: expected.buf.len() as u64,
                     hash: fnv1a(&expected.buf),
                     next_probe: header.manifest.probe_start,
-                    times: zero,
                     resumed: 0,
                     chunks: vec![meta_entry],
                 })
@@ -2059,26 +1814,19 @@ impl ShardStreamWriter {
     }
 
     /// Appends one probe as one chunk and flushes it to the OS, making
-    /// it durable against a process kill. `times` are this probe's
-    /// per-engine `(train, infer)` wall-clock contributions, accumulated
-    /// into the footer totals.
+    /// it durable against a process kill.
     ///
     /// # Panics
     ///
-    /// Panics if the record's delta-row or `times` count disagrees with
-    /// the engine roster, or on an append past the manifest's probe end
-    /// — both are caller bugs, never disk states.
-    pub fn append_probe(
-        &mut self,
-        rec: &ProbeRecord,
-        times: &[(Duration, Duration)],
-    ) -> Result<(), PersistError> {
+    /// Panics if the record's delta-row count disagrees with the engine
+    /// roster, or on an append past the manifest's probe end — both are
+    /// caller bugs, never disk states.
+    pub fn append_probe(&mut self, rec: &ProbeRecord) -> Result<(), PersistError> {
         assert!(
             self.next_probe < self.header.manifest.probe_end,
             "append past the manifest's probe range"
         );
         assert_eq!(rec.deltas.len(), self.n_engines, "one delta row per engine");
-        assert_eq!(times.len(), self.n_engines, "one time pair per engine");
         let mut payload = Enc::new();
         enc_probe_record(&mut payload, rec);
         let (bytes, checksum) = build_chunk(
@@ -2100,10 +1848,6 @@ impl ShardStreamWriter {
         });
         self.offset += bytes.len() as u64;
         self.next_probe += 1;
-        for ((train, infer), &(t, i)) in self.times.iter_mut().zip(times) {
-            *train += t;
-            *infer += i;
-        }
         Ok(())
     }
 
@@ -2120,7 +1864,7 @@ impl ShardStreamWriter {
             "finish before the manifest's probe range is complete"
         );
         let mut tail = Enc::new();
-        tail.buf = enc_footer(&self.chunks, &self.times);
+        tail.buf = enc_footer(&self.chunks);
         tail.u64(self.offset);
         self.hash = fnv1a_update(self.hash, &tail.buf);
         tail.u64(self.hash);
@@ -2137,18 +1881,17 @@ impl ShardStreamWriter {
 // Streaming readers: random access, verification, shard concatenation
 // --------------------------------------------------------------------------
 
-/// Reads the 16-byte v3 trailer and the footer of an open file, returning
-/// `(footer_offset, stored file checksum, chunk index, engine times)`.
-/// Validates footer bounds and exact decode, not the chunk table.
-#[allow(clippy::type_complexity)]
+/// Reads the 16-byte trailer and the footer of an open file, returning
+/// `(footer_offset, stored file checksum, chunk index)`. Validates footer
+/// bounds and exact decode, not the chunk table.
 fn read_trailer_and_footer(
     file: &mut fs::File,
     file_len: u64,
-) -> Result<(u64, u64, Vec<ChunkEntry>, Vec<(Duration, Duration)>), PersistError> {
+) -> Result<(u64, u64, Vec<ChunkEntry>), PersistError> {
     let min = (HEADER_LEN + CHUNK_OVERHEAD + TRAILER_LEN) as u64;
     if file_len < min {
         return Err(PersistError::Corrupt(format!(
-            "{file_len} bytes is too short for a v3 collection file"
+            "{file_len} bytes is too short for a collection file"
         )));
     }
     let mut trailer = [0u8; TRAILER_LEN];
@@ -2165,25 +1908,16 @@ fn read_trailer_and_footer(
     let mut footer = vec![0u8; (footer_end - footer_offset) as usize];
     file.seek(SeekFrom::Start(footer_offset))?;
     file.read_exact(&mut footer)?;
-    let (chunks, times) = dec_footer(&footer)?;
-    Ok((footer_offset, stored_fnv, chunks, times))
+    let chunks = dec_footer(&footer)?;
+    Ok((footer_offset, stored_fnv, chunks))
 }
 
-/// Reads the fixed header of an open file, requiring the v3 layout (a v2
-/// file surfaces as [`PersistError::Version`] so callers can fall back
-/// to a full decode).
-fn read_v3_file_header(file: &mut fs::File) -> Result<FileHeader, PersistError> {
+/// Reads the fixed header of an open file.
+fn read_file_header(file: &mut fs::File) -> Result<FileHeader, PersistError> {
     let mut buf = [0u8; HEADER_LEN];
     file.seek(SeekFrom::Start(0))?;
     file.read_exact(&mut buf)?;
-    let (header, version) = dec_header(&mut Dec::new(&buf))?;
-    if version != FORMAT_VERSION {
-        return Err(PersistError::Version {
-            found: version,
-            expected: FORMAT_VERSION,
-        });
-    }
-    Ok(header)
+    dec_header(&mut Dec::new(&buf))
 }
 
 /// Reads one chunk of an open file into `buf` and validates it against
@@ -2221,7 +1955,7 @@ fn read_chunk_at<'b>(
     Ok(parsed)
 }
 
-/// Random-access reader over one v3 collection file: opening touches only
+/// Random-access reader over one collection file: opening touches only
 /// the header, trailer, footer and meta chunk, and
 /// [`read_probe`](Self::read_probe) then decodes exactly one chunk — so
 /// replaying a single probe from a full-size corpus costs O(chunk)
@@ -2236,7 +1970,6 @@ pub struct ProbeReader {
     file_len: u64,
     header: FileHeader,
     chunks: Vec<ChunkEntry>,
-    times: Vec<(Duration, Duration)>,
     keys: Vec<RunKey>,
     engine_names: Vec<String>,
     catalog: BugCatalog,
@@ -2245,11 +1978,11 @@ pub struct ProbeReader {
 impl ProbeReader {
     /// Opens `path`, validating header, footer, chunk table and the meta
     /// chunk — but no probe chunk. When `expected` is given, the config
-    /// fingerprint must match. A v2 file is [`PersistError::Version`].
+    /// fingerprint must match.
     pub fn open(path: &Path, expected: Option<u64>) -> Result<Self, PersistError> {
         let mut file = fs::File::open(path)?;
         let file_len = file.metadata()?.len();
-        let header = read_v3_file_header(&mut file)?;
+        let header = read_file_header(&mut file)?;
         if let Some(expected) = expected {
             if header.fingerprint != expected {
                 return Err(PersistError::Fingerprint {
@@ -2258,7 +1991,7 @@ impl ProbeReader {
                 });
             }
         }
-        let (footer_offset, _, chunks, times) = read_trailer_and_footer(&mut file, file_len)?;
+        let (footer_offset, _, chunks) = read_trailer_and_footer(&mut file, file_len)?;
         validate_chunk_table(&chunks, footer_offset, &header)?;
         let mut buf = Vec::new();
         let meta_chunk = read_chunk_at(&mut file, file_len, &chunks[0], &mut buf)?;
@@ -2272,19 +2005,11 @@ impl ProbeReader {
             }
             meta
         };
-        if times.len() != meta.engine_names.len() {
-            return Err(PersistError::Corrupt(format!(
-                "footer times {} engines but the roster has {}",
-                times.len(),
-                meta.engine_names.len()
-            )));
-        }
         Ok(ProbeReader {
             file,
             file_len,
             header,
             chunks,
-            times,
             keys: meta.keys,
             engine_names: meta.engine_names,
             catalog: meta.catalog,
@@ -2299,11 +2024,6 @@ impl ProbeReader {
     /// The footer's chunk index (meta chunk first).
     pub fn chunk_index(&self) -> &[ChunkEntry] {
         &self.chunks
-    }
-
-    /// Per-engine `(train, infer)` wall-clock totals from the footer.
-    pub fn engine_times(&self) -> &[(Duration, Duration)] {
-        &self.times
     }
 
     /// The run-key axis recorded in the meta chunk.
@@ -2356,16 +2076,13 @@ impl ProbeReader {
     }
 }
 
-/// Verifies a v3 file chunk-by-chunk in O(chunk) memory: header, footer
+/// Verifies a file chunk-by-chunk in O(chunk) memory: header, footer
 /// bounds and chunk-table consistency first, then one sequential pass
 /// that revalidates every chunk's checksum *and* payload decode against
 /// the footer index while folding the whole-file checksum incrementally,
 /// finally compared against the stored trailer value. `on_chunk` fires
 /// after each chunk validates — tooling uses it for per-chunk status.
 /// Returns the header on success.
-///
-/// A v2 file is [`PersistError::Version`]; callers that still want to
-/// verify it fall back to a full [`decode_collection_with`].
 pub fn verify_stream(
     path: &Path,
     expected: Option<u64>,
@@ -2373,7 +2090,7 @@ pub fn verify_stream(
 ) -> Result<FileHeader, PersistError> {
     let mut file = fs::File::open(path)?;
     let file_len = file.metadata()?.len();
-    let header = read_v3_file_header(&mut file)?;
+    let header = read_file_header(&mut file)?;
     if let Some(expected) = expected {
         if header.fingerprint != expected {
             return Err(PersistError::Fingerprint {
@@ -2382,7 +2099,7 @@ pub fn verify_stream(
             });
         }
     }
-    let (footer_offset, stored_fnv, chunks, times) = read_trailer_and_footer(&mut file, file_len)?;
+    let (footer_offset, stored_fnv, chunks) = read_trailer_and_footer(&mut file, file_len)?;
     validate_chunk_table(&chunks, footer_offset, &header)?;
     // Sequential pass with one reused buffer and an incremental hash.
     let mut head = [0u8; HEADER_LEN];
@@ -2395,17 +2112,7 @@ pub fn verify_stream(
         let chunk = read_chunk_at(&mut file, file_len, entry, &mut buf)?;
         let mut dec = Dec::new(chunk.payload);
         match n_engines {
-            None => {
-                let meta = dec_meta_section(&mut dec)?;
-                if times.len() != meta.engine_names.len() {
-                    return Err(PersistError::Corrupt(format!(
-                        "footer times {} engines but the roster has {}",
-                        times.len(),
-                        meta.engine_names.len()
-                    )));
-                }
-                n_engines = Some(meta.engine_names.len());
-            }
+            None => n_engines = Some(dec_meta_section(&mut dec)?.engine_names.len()),
             Some(n) => {
                 for _ in 0..chunk.n_probes {
                     dec_probe_record(&mut dec, n)?;
@@ -2446,27 +2153,23 @@ fn temp_sibling(path: &Path) -> PathBuf {
 }
 
 /// Reassembles a full collection file at `out` by **streaming
-/// concatenation** of v3 shard files — probe chunks are copied verbatim
+/// concatenation** of shard files — probe chunks are copied verbatim
 /// (their frames carry absolute probe indices and their checksums do not
 /// depend on position), validated chunk-by-chunk during the copy, with
 /// only the footer and trailer rewritten. Peak memory is O(chunk), never
 /// O(corpus), and the output is byte-identical to encoding the merged
-/// collection directly (engine times sum over shards).
+/// collection directly.
 ///
 /// Validates the same identity and coverage invariants as
 /// [`merge_collections`]: matching fingerprint, kind, corpus revision,
 /// partition width and byte-identical meta chunks, and a disjoint,
 /// complete probe partition. Publication is atomic (temp + rename).
-///
-/// Any v2 shard aborts with [`PersistError::Version`] — the caller falls
-/// back to the in-memory [`merge_collections`] path.
 pub fn merge_shard_files(parts: &[PathBuf], out: &Path) -> Result<FileHeader, PersistError> {
     struct Part {
         file: fs::File,
         file_len: u64,
         header: FileHeader,
         chunks: Vec<ChunkEntry>,
-        times: Vec<(Duration, Duration)>,
         meta_bytes: Vec<u8>,
     }
     if parts.is_empty() {
@@ -2476,8 +2179,8 @@ pub fn merge_shard_files(parts: &[PathBuf], out: &Path) -> Result<FileHeader, Pe
     for path in parts {
         let mut file = fs::File::open(path)?;
         let file_len = file.metadata()?.len();
-        let header = read_v3_file_header(&mut file)?;
-        let (footer_offset, _, chunks, times) = read_trailer_and_footer(&mut file, file_len)?;
+        let header = read_file_header(&mut file)?;
+        let (footer_offset, _, chunks) = read_trailer_and_footer(&mut file, file_len)?;
         validate_chunk_table(&chunks, footer_offset, &header)
             .map_err(|e| PersistError::Corrupt(format!("shard file {}: {e}", path.display())))?;
         let mut meta_bytes = Vec::new();
@@ -2487,7 +2190,6 @@ pub fn merge_shard_files(parts: &[PathBuf], out: &Path) -> Result<FileHeader, Pe
             file_len,
             header,
             chunks,
-            times,
             meta_bytes,
         });
     }
@@ -2524,12 +2226,6 @@ pub fn merge_shard_files(parts: &[PathBuf], out: &Path) -> Result<FileHeader, Pe
         if p.meta_bytes != opened[0].meta_bytes {
             return Err(PersistError::Shard(format!(
                 "shard {} disagrees on the meta chunk (keys, engine roster or bug catalogue)",
-                h.manifest.index
-            )));
-        }
-        if p.times.len() != opened[0].times.len() {
-            return Err(PersistError::Shard(format!(
-                "shard {} disagrees on the engine roster length",
                 h.manifest.index
             )));
         }
@@ -2575,7 +2271,7 @@ pub fn merge_shard_files(parts: &[PathBuf], out: &Path) -> Result<FileHeader, Pe
     let tmp = temp_sibling(out);
     let result = (|| -> Result<(), PersistError> {
         let mut head = Enc::new();
-        enc_header(&mut head, &out_header, FORMAT_VERSION);
+        enc_header(&mut head, &out_header);
         head.buf.extend_from_slice(&opened[0].meta_bytes);
         let mut hash = fnv1a(&head.buf);
         let mut offset = head.buf.len() as u64;
@@ -2585,7 +2281,6 @@ pub fn merge_shard_files(parts: &[PathBuf], out: &Path) -> Result<FileHeader, Pe
             offset: HEADER_LEN as u64,
             ..opened[0].chunks[0]
         }];
-        let mut times = vec![(Duration::ZERO, Duration::ZERO); opened[0].times.len()];
         let mut buf = Vec::new();
         for p in &mut opened {
             for entry in &p.chunks[1..] {
@@ -2595,13 +2290,9 @@ pub fn merge_shard_files(parts: &[PathBuf], out: &Path) -> Result<FileHeader, Pe
                 chunks.push(ChunkEntry { offset, ..*entry });
                 offset += entry.len;
             }
-            for ((train, infer), &(t, i)) in times.iter_mut().zip(&p.times) {
-                *train += t;
-                *infer += i;
-            }
         }
         let mut tail = Enc::new();
-        tail.buf = enc_footer(&chunks, &times);
+        tail.buf = enc_footer(&chunks);
         tail.u64(offset);
         hash = fnv1a_update(hash, &tail.buf);
         tail.u64(hash);
@@ -2635,10 +2326,8 @@ pub fn merge_shard_files(parts: &[PathBuf], out: &Path) -> Result<FileHeader, Pe
 ///
 /// Because every probe's collection pipeline is deterministic and
 /// independent, the merged collection is identical to the one a
-/// single-process pass produces, except for the per-engine wall-clock
-/// `train_time` / `infer_time`, which sum over shards instead of being
-/// measured in one process. Returns the merged collection and the full
-/// header it should be saved under.
+/// single-process pass produces. Returns the merged collection and the
+/// full header it should be saved under.
 pub fn merge_collections(
     mut parts: Vec<(Collection, FileHeader)>,
 ) -> Result<(Collection, FileHeader), PersistError> {
@@ -2745,8 +2434,6 @@ pub fn merge_collections(
         merged.captures.extend(col.captures);
         for (into, from) in merged.engines.iter_mut().zip(col.engines) {
             into.deltas.extend(from.deltas);
-            into.train_time += from.train_time;
-            into.infer_time += from.infer_time;
         }
     }
     let header = FileHeader {
@@ -2812,105 +2499,33 @@ pub enum CacheStatus {
 }
 
 /// Scans `dir` for shard files of the pass identified by `(prefix, kind,
-/// fingerprint)` and merges them when they form a complete partition.
+/// fingerprint)`, reading only each candidate's fixed header, and returns
+/// the paths of the first complete partition in probe order.
 ///
 /// Candidates are selected **by file name** ([`shard_file_name`]
 /// grammar): only names whose prefix (when `prefix` is given), kind and
 /// fingerprint segments match are even opened, so foreign `.pbcol` files
 /// — including other targets' shards under a shared directory and large
-/// full corpora — cost nothing. A candidate that then fails to decode,
-/// or whose header disagrees with its name, is an error — like a stale
-/// cache, never silently ignored.
+/// full corpora — cost nothing. A candidate whose header then fails to
+/// decode, or disagrees with its name, is an error — like a stale cache,
+/// never silently ignored.
 ///
 /// Shards are grouped by their partition's shard count (a crashed
 /// `n`-way pass may leave stale shards beside a complete `m`-way one);
-/// the first complete group merges. Returns `Ok(None)` when no group is
+/// the first complete group wins. Returns `Ok(None)` when no group is
 /// complete — other worker processes may still be collecting.
-pub fn assemble_from_shards(
-    dir: &Path,
-    prefix: Option<&str>,
-    kind: ExperimentKind,
-    fingerprint: u64,
-) -> Result<Option<Collection>, PersistError> {
-    let entries = match fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    // Group candidate shard parts by their partition's shard count.
-    let mut groups: std::collections::BTreeMap<u32, Vec<(Collection, FileHeader)>> =
-        std::collections::BTreeMap::new();
-    for entry in entries {
-        let path = entry?.path();
-        let parsed = match path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .and_then(parse_cache_file_name)
-        {
-            Some(parsed) => parsed,
-            None => continue,
-        };
-        if parsed.kind != kind
-            || parsed.fingerprint != fingerprint
-            || parsed.shard.is_none()
-            || prefix.is_some_and(|p| parsed.prefix != p)
-        {
-            continue;
-        }
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            // Pruned or still being renamed into place: not ours to judge.
-            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-            Err(e) => return Err(e.into()),
-        };
-        let (col, header) = decode_collection_with(&bytes, Some(fingerprint))
-            .map_err(|e| PersistError::Corrupt(format!("shard file {}: {e}", path.display())))?;
-        if header.kind != kind
-            || parsed.shard != Some((header.manifest.index, header.manifest.count))
-        {
-            return Err(PersistError::Shard(format!(
-                "{} is named for a different shard than its header ({})",
-                path.display(),
-                header.manifest
-            )));
-        }
-        groups
-            .entry(header.manifest.count)
-            .or_default()
-            .push((col, header));
-    }
-    for (count, parts) in groups {
-        let mut indices: Vec<u32> = parts.iter().map(|(_, h)| h.manifest.index).collect();
-        indices.sort_unstable();
-        indices.dedup();
-        if indices.len() == count as usize {
-            return merge_collections(parts).map(|(col, _)| Some(col));
-        }
-        // Incomplete group: workers of this partition may still be
-        // running; try the next partition width.
-    }
-    Ok(None)
-}
-
-/// Scans `dir` for shard files of the pass identified by `(prefix, kind,
-/// fingerprint)` — same name-based candidate selection as
-/// [`assemble_from_shards`] — reading only each candidate's fixed header,
-/// and returns the first complete partition as `(path, format version)`
-/// pairs in probe order. `Ok(None)` when no group is complete.
-#[allow(clippy::type_complexity)]
 fn complete_shard_group(
     dir: &Path,
     prefix: Option<&str>,
     kind: ExperimentKind,
     fingerprint: u64,
-) -> Result<Option<Vec<(PathBuf, u32)>>, PersistError> {
+) -> Result<Option<Vec<PathBuf>>, PersistError> {
     let entries = match fs::read_dir(dir) {
         Ok(entries) => entries,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    let mut groups: std::collections::BTreeMap<u32, Vec<(u32, PathBuf, u32)>> =
-        std::collections::BTreeMap::new();
+    let mut groups: BTreeMap<u32, Vec<(u32, PathBuf)>> = BTreeMap::new();
     for entry in entries {
         let path = entry?.path();
         let parsed = match path
@@ -2939,7 +2554,7 @@ fn complete_shard_group(
             |e: PersistError| PersistError::Corrupt(format!("shard file {}: {e}", path.display()));
         file.read_exact(&mut buf)
             .map_err(|e| corrupt(PersistError::Io(e)))?;
-        let (header, version) = dec_header(&mut Dec::new(&buf)).map_err(corrupt)?;
+        let header = dec_header(&mut Dec::new(&buf)).map_err(corrupt)?;
         if header.fingerprint != fingerprint {
             return Err(corrupt(PersistError::Fingerprint {
                 found: header.fingerprint,
@@ -2955,22 +2570,16 @@ fn complete_shard_group(
                 header.manifest
             )));
         }
-        groups.entry(header.manifest.count).or_default().push((
-            header.manifest.index,
-            path,
-            version,
-        ));
+        groups
+            .entry(header.manifest.count)
+            .or_default()
+            .push((header.manifest.index, path));
     }
     for (count, mut members) in groups {
         members.sort_by_key(|(index, ..)| *index);
         members.dedup_by_key(|(index, ..)| *index);
         if members.len() == count as usize {
-            return Ok(Some(
-                members
-                    .into_iter()
-                    .map(|(_, path, version)| (path, version))
-                    .collect(),
-            ));
+            return Ok(Some(members.into_iter().map(|(_, path)| path).collect()));
         }
         // Incomplete group: workers of this partition may still be
         // running; try the next partition width.
@@ -2986,10 +2595,9 @@ fn complete_shard_group(
 /// `Ok(None)` on a genuine cache miss — a stale or corrupt cache is
 /// still an error.
 ///
-/// An all-v3 shard set assembles by [`merge_shard_files`] — streaming
+/// A complete shard set assembles by [`merge_shard_files`] — streaming
 /// concatenation in O(chunk) memory — and the merged file is then decoded
-/// once as its validation pass. A set containing legacy v2 shards falls
-/// back to the in-memory [`assemble_from_shards`] path.
+/// once as its validation pass.
 pub fn load_or_assemble(
     path: &Path,
     kind: ExperimentKind,
@@ -3009,36 +2617,18 @@ pub fn load_or_assemble(
         .and_then(|n| n.to_str())
         .and_then(parse_cache_file_name);
     let prefix = parsed.as_ref().map(|p| p.prefix.as_str());
-    let group = match complete_shard_group(dir, prefix, kind, fingerprint)? {
-        Some(group) => group,
-        None => return Ok(None),
+    let Some(shards) = complete_shard_group(dir, prefix, kind, fingerprint)? else {
+        return Ok(None);
     };
-    if group.iter().all(|&(_, version)| version == FORMAT_VERSION) {
-        let paths: Vec<PathBuf> = group.into_iter().map(|(path, _)| path).collect();
-        merge_shard_files(&paths, path)?;
-        // The full decode of the merged file is its validation pass; on
-        // failure, remove the output so a bad merge is never replayed.
-        match load_collection(path, fingerprint) {
-            Ok(col) => Ok(Some((col, CacheStatus::Assembled))),
-            Err(e) => {
-                let _ = fs::remove_file(path);
-                Err(e)
-            }
+    merge_shard_files(&shards, path)?;
+    // The full decode of the merged file is its validation pass; on
+    // failure, remove the output so a bad merge is never replayed.
+    match load_collection(path, fingerprint) {
+        Ok(col) => Ok(Some((col, CacheStatus::Assembled))),
+        Err(e) => {
+            let _ = fs::remove_file(path);
+            Err(e)
         }
-    } else if let Some(col) = assemble_from_shards(dir, prefix, kind, fingerprint)? {
-        save_collection_with(
-            path,
-            &col,
-            &FileHeader {
-                kind,
-                corpus_revision: CORPUS_REVISION,
-                fingerprint,
-                manifest: ShardManifest::full(col.probes.len()),
-            },
-        )?;
-        Ok(Some((col, CacheStatus::Assembled)))
-    } else {
-        Ok(None)
     }
 }
 
@@ -3150,17 +2740,12 @@ pub fn collect_shard_or_resume<C: ExperimentConfig>(
 
 /// Appends one streamed probe result to a shard writer: flattens the
 /// per-engine outputs into a [`ProbeRecord`] (delta rows and captures in
-/// roster order) and accumulates the per-engine timings.
+/// roster order).
 pub fn append_probe_output(
     writer: &mut ShardStreamWriter,
     meta: ProbeMeta,
     output: crate::exec::ProbeOutput,
 ) -> Result<(), PersistError> {
-    let times: Vec<(Duration, Duration)> = output
-        .engines
-        .iter()
-        .map(|e| (e.train_time, e.infer_time))
-        .collect();
     let mut deltas = Vec::with_capacity(output.engines.len());
     let mut captures = Vec::new();
     for engine in output.engines {
@@ -3174,7 +2759,7 @@ pub fn append_probe_output(
         deltas,
         captures,
     };
-    writer.append_probe(&rec, &times)
+    writer.append_probe(&rec)
 }
 
 #[cfg(test)]
@@ -3203,8 +2788,6 @@ mod tests {
             engines: vec![EngineResult {
                 name: "GBT-250".into(),
                 deltas: vec![vec![0.25, 17.5]],
-                train_time: Duration::new(3, 250_000_000),
-                infer_time: Duration::from_millis(42),
             }],
             overall_ipc: vec![vec![1.75, 1.5]],
             agg_features: vec![vec![vec![0.5, -1.0], vec![0.25, f64::MIN_POSITIVE]]],
@@ -3416,10 +2999,6 @@ mod tests {
         assert_eq!(merged.probes[1].id, "458.sjeng#1");
         assert_eq!(merged.engines[0].deltas.len(), 2);
         assert_eq!(merged.overall_ipc.len(), 2);
-        assert_eq!(
-            merged.engines[0].train_time,
-            sample_collection().engines[0].train_time * 2
-        );
     }
 
     #[test]
@@ -3491,19 +3070,18 @@ mod tests {
             &shard_header(0, 4, 0, 1, 2),
         );
 
+        let assemble = |prefix: &str, fingerprint: u64| {
+            let target = dir.join(cache_file_name(prefix, kind, fingerprint));
+            load_or_assemble(&target, kind, fingerprint)
+        };
         // Another prefix sees none of these shards.
-        assert!(assemble_from_shards(&dir, Some("b"), kind, 7)
-            .expect("scan")
-            .is_none());
+        assert!(assemble("b", 7).expect("scan").is_none());
         // Prefix "a" assembles the complete 2-way group.
-        let col = assemble_from_shards(&dir, Some("a"), kind, 7)
-            .expect("assemble")
-            .expect("complete group");
+        let (col, status) = assemble("a", 7).expect("assemble").expect("complete group");
+        assert_eq!(status, CacheStatus::Assembled);
         assert_eq!(col.probes.len(), 2);
         // A wrong fingerprint matches nothing.
-        assert!(assemble_from_shards(&dir, Some("a"), kind, 8)
-            .expect("scan")
-            .is_none());
+        assert!(assemble("a", 8).expect("scan").is_none());
 
         // A shard file whose name disagrees with its header is an error,
         // never silently used.
@@ -3512,10 +3090,7 @@ mod tests {
             &shard_part(1),
             &shard_header(1, 2, 1, 2, 2),
         );
-        assert!(matches!(
-            assemble_from_shards(&dir, Some("c"), kind, 7),
-            Err(PersistError::Shard(_))
-        ));
+        assert!(matches!(assemble("c", 7), Err(PersistError::Shard(_))));
 
         let _ = fs::remove_dir_all(&dir);
     }

@@ -14,7 +14,7 @@
 //! One file per (benchmark, workload scale), holding the traces of *all*
 //! of that benchmark's probes at that scale, so every collection —
 //! whatever its catalogue, engine roster or `max_probes` cap — shares the
-//! same trace files. The layout reuses the PBCL v3 discipline from
+//! same trace files. The layout reuses the PBCL chunk discipline from
 //! [`crate::persist`] (`docs/FORMAT.md` §8): a fixed 28-byte header, one
 //! meta chunk, exactly one chunk per probe (random access with O(chunk)
 //! memory via [`TraceReader`], the trace sibling of

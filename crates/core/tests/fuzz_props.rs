@@ -153,14 +153,11 @@ proptest! {
 }
 
 /// Thread-count invariance at the collection level: a fuzzed catalogue
-/// collected with 1 worker and with 3 encodes byte-identically (timings
-/// aside — the only sanctioned nondeterminism).
+/// collected with 1 worker and with 3 encodes byte-identically.
 #[test]
 fn fuzzed_collection_is_worker_count_invariant() {
-    let mut one = reference_collection().clone();
-    let mut three = collect(&fuzz_config(3));
-    one.zero_timings();
-    three.zero_timings();
+    let one = reference_collection();
+    let three = collect(&fuzz_config(3));
     let fp = config_fingerprint(&fuzz_config(1));
     assert_eq!(
         fp,
@@ -168,7 +165,7 @@ fn fuzzed_collection_is_worker_count_invariant() {
         "thread count must not change the fingerprint"
     );
     assert!(
-        encode_collection(&one, fp) == encode_collection(&three, fp),
+        encode_collection(one, fp) == encode_collection(&three, fp),
         "worker count changed the collected corpus"
     );
 }
@@ -192,13 +189,10 @@ fn fuzzed_collection_is_shard_partition_invariant() {
             (col, header)
         })
         .collect();
-    let (mut merged, header) = merge_collections(parts).expect("complete partition merges");
+    let (merged, header) = merge_collections(parts).expect("complete partition merges");
     assert!(header.manifest.is_full());
-    let mut full = reference_collection().clone();
-    merged.zero_timings();
-    full.zero_timings();
     assert!(
-        encode_collection(&merged, fp) == encode_collection(&full, fp),
+        encode_collection(&merged, fp) == encode_collection(reference_collection(), fp),
         "shard partition changed the fuzzed corpus"
     );
 }

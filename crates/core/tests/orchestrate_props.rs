@@ -209,17 +209,15 @@ proptest! {
         // No partial `.pbcol` anywhere, and the junk temp files the kills
         // left behind are invisible to assembly.
         assert_no_partial_pbcol(&dir);
-        let (mut merged, status) = load_or_assemble(&plan.full_path(), plan.kind, plan.fingerprint)
+        let (merged, status) = load_or_assemble(&plan.full_path(), plan.kind, plan.fingerprint)
             .expect("assembly")
             .expect("complete shard set");
         prop_assert_eq!(status, CacheStatus::Assembled);
 
-        let mut full = full_collection().clone();
-        merged.zero_timings();
-        full.zero_timings();
+        let assembled = std::fs::read(plan.full_path()).expect("assembled file");
         prop_assert!(
-            encode_collection(&merged, plan.fingerprint)
-                == encode_collection(&full, plan.fingerprint),
+            merged == *full_collection()
+                && assembled == encode_collection(full_collection(), plan.fingerprint),
             "kill schedule {kills:?} over {shards} shards diverged from the full pass"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -242,14 +240,13 @@ fn killed_worker_leaves_only_an_ignored_temp_file() {
 
     // … and assembly both ignored it and produced the identical corpus.
     assert_no_partial_pbcol(&dir);
-    let (mut merged, _) = load_or_assemble(&plan.full_path(), plan.kind, plan.fingerprint)
+    let (merged, _) = load_or_assemble(&plan.full_path(), plan.kind, plan.fingerprint)
         .expect("assembly")
         .expect("complete shard set");
-    let mut full = full_collection().clone();
-    merged.zero_timings();
-    full.zero_timings();
+    assert!(merged == *full_collection());
     assert!(
-        encode_collection(&merged, plan.fingerprint) == encode_collection(&full, plan.fingerprint)
+        std::fs::read(plan.full_path()).expect("assembled file")
+            == encode_collection(full_collection(), plan.fingerprint)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,7 +5,6 @@
 //! corpus of each experiment.
 
 use std::path::Path;
-use std::time::Duration;
 
 use perfbug_core::bugs::BugCatalog;
 use perfbug_core::experiment::{
@@ -15,10 +14,9 @@ use perfbug_core::experiment::{
 use perfbug_core::memory::{MemCollectionConfig, TargetMetric};
 use perfbug_core::persist::{
     cache_file_name, collect_or_load, collect_shard_or_resume, decode_collection,
-    decode_collection_with, encode_collection, encode_collection_with, load_collection,
-    load_or_assemble, parse_cache_file_name, save_collection_with, shard_file_name, CacheStatus,
-    ExperimentKind, FileHeader, PersistError, ShardManifest, CORPUS_REVISION, FORMAT_VERSION,
-    LEGACY_FORMAT_VERSION,
+    encode_collection, load_collection, load_or_assemble, parse_cache_file_name, read_header,
+    save_collection_with, scan_part, shard_file_name, CacheStatus, ExperimentKind, FileHeader,
+    PersistError, ShardManifest, CORPUS_REVISION, FORMAT_VERSION,
 };
 use perfbug_core::stage1::EngineSpec;
 use perfbug_core::ShardSpec;
@@ -90,8 +88,6 @@ fn synth_collection(
             deltas: (0..n_probes)
                 .map(|_| keys.iter().map(|_| next()).collect())
                 .collect(),
-            train_time: Duration::new(e as u64, 123_456_789),
-            infer_time: Duration::from_micros(e as u64 * 7 + 1),
         })
         .collect();
     Collection {
@@ -103,7 +99,7 @@ fn synth_collection(
             .collect(),
         captures: (0..n_captures)
             .map(|c| CapturedSeries {
-                // Non-decreasing valid probe ids: the v3 codec stores
+                // Non-decreasing valid probe ids: the codec stores
                 // captures inside their probe's chunk, so a capture must
                 // name a real probe and the flat list is probe-ordered.
                 probe_id: format!("bench#{}", c * n_probes / n_captures.max(1)),
@@ -180,9 +176,9 @@ proptest! {
 
     #[test]
     fn wrong_version_is_rejected(version in any::<u32>()) {
-        // v2 is the read-compat version, not a rejected one (the bytes
-        // would then fail as corrupt, not as a version mismatch).
-        prop_assume!(version != FORMAT_VERSION && version != LEGACY_FORMAT_VERSION);
+        // Every other version — older ones included — is a version
+        // error, never reinterpreted.
+        prop_assume!(version != FORMAT_VERSION);
         let col = synth_collection(1, 1, 0, &[2.5], false);
         let mut bytes = encode_collection(&col, 1);
         bytes[4..8].copy_from_slice(&version.to_le_bytes());
@@ -195,13 +191,17 @@ proptest! {
             hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
         bytes[body..].copy_from_slice(&hash.to_le_bytes());
+        let is_version = |e: PersistError| {
+            matches!(e, PersistError::Version { found, expected }
+                if found == version && expected == FORMAT_VERSION)
+        };
         match decode_collection(&bytes, 1) {
-            Err(PersistError::Version { found, expected }) => {
-                prop_assert_eq!(found, version);
-                prop_assert_eq!(expected, FORMAT_VERSION);
-            }
-            r => prop_assert!(false, "expected version rejection, got {:?}", r.is_ok()),
+            Err(e) => prop_assert!(is_version(e)),
+            Ok(_) => prop_assert!(false, "version {} decoded", version),
         }
+        // The header triage and the part-file scanner gate on it too.
+        prop_assert!(read_header(&bytes).is_err_and(is_version));
+        prop_assert!(scan_part(&bytes).is_err_and(is_version));
     }
 
     #[test]
@@ -256,8 +256,6 @@ fn collection_with_catalog(catalog: BugCatalog) -> Collection {
         engines: vec![EngineResult {
             name: "GBT-0".into(),
             deltas: vec![keys.iter().enumerate().map(|(i, _)| i as f64).collect()],
-            train_time: Duration::from_millis(1),
-            infer_time: Duration::from_micros(1),
         }],
         overall_ipc: vec![keys.iter().map(|_| 1.5).collect()],
         agg_features: vec![keys.iter().map(|_| vec![0.25, -0.5]).collect()],
@@ -340,16 +338,6 @@ fn tiny_mem_config() -> MemCollectionConfig {
     config
 }
 
-/// A file's collection with its wall-clock timings zeroed, re-encoded
-/// under the file's own header: the bytes every corpus-identity guard
-/// compares.
-fn timing_free_bytes(path: &Path) -> Vec<u8> {
-    let bytes = std::fs::read(path).expect("read corpus file");
-    let (mut col, header) = decode_collection_with(&bytes, None).expect("decode corpus file");
-    col.zero_timings();
-    encode_collection_with(&col, &header)
-}
-
 /// Drives one experiment through the on-disk front doors: save/load
 /// identity, stale-fingerprint rejection, a cold `collect_or_load` that
 /// collects, a warm one that replays without simulating, and a 2-shard
@@ -398,7 +386,7 @@ fn front_door_round_trip<C: ExperimentConfig>(config: &C, stale: &C, dir: &Path)
     assert_eq!(warm, cold);
 
     // Two shard workers, then assembly: the merged file is the
-    // single-process file (timings zeroed).
+    // single-process file, byte for byte.
     for index in 0..2 {
         let shard = ShardSpec::new(index, 2);
         let shard_path = dir.join(shard_file_name("sharded", C::KIND, fp, index, 2));
@@ -412,8 +400,8 @@ fn front_door_round_trip<C: ExperimentConfig>(config: &C, stale: &C, dir: &Path)
     assert_eq!(status, CacheStatus::Assembled);
     assert_eq!(merged.probes, cold.probes);
     assert_eq!(
-        timing_free_bytes(&assembled),
-        timing_free_bytes(&front),
+        std::fs::read(&assembled).expect("read assembled corpus"),
+        std::fs::read(&front).expect("read single-process corpus"),
         "assembled corpus must equal the single-process one"
     );
 }

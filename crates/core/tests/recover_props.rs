@@ -1,11 +1,10 @@
-//! Crash-recovery properties of the v3 chunked format: a part file
+//! Crash-recovery properties of the chunked format: a part file
 //! truncated or corrupted at *any* byte offset yields a clean durable
 //! chunk prefix (or a precise rejection) — never wrong probe data — and
 //! resuming from a kill at any point finishes a file bit-identical to an
 //! uninterrupted pass.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use perfbug_core::bugs::BugCatalog;
 use perfbug_core::experiment::{CapturedSeries, Collection, EngineResult, ProbeMeta, RunKey};
@@ -17,9 +16,8 @@ use perfbug_uarch::{ArchSet, BugSpec};
 use perfbug_workloads::Opcode;
 use proptest::prelude::*;
 
-/// A small synthetic collection with *zeroed* engine timings, so a
-/// streamed re-write (whose resumed timings restart at zero) can be
-/// compared byte-for-byte against the direct encode.
+/// A small synthetic collection; a streamed re-write of it is compared
+/// byte-for-byte against the direct encode.
 fn synth_collection(n_probes: usize, floats: &[f64]) -> Collection {
     let mut next = {
         let mut i = 0;
@@ -62,8 +60,6 @@ fn synth_collection(n_probes: usize, floats: &[f64]) -> Collection {
             deltas: (0..n_probes)
                 .map(|_| keys.iter().map(|_| next()).collect())
                 .collect(),
-            train_time: Duration::ZERO,
-            infer_time: Duration::ZERO,
         })
         .collect();
     Collection {
@@ -99,7 +95,7 @@ fn header_for(col: &Collection, fingerprint: u64) -> FileHeader {
     }
 }
 
-/// The probe record the v3 codec stores for probe `p` of `col`.
+/// The probe record the codec stores for probe `p` of `col`.
 fn record_for(col: &Collection, p: usize) -> ProbeRecord {
     ProbeRecord {
         meta: col.probes[p].clone(),
@@ -156,7 +152,7 @@ proptest! {
         prop_assert!(resumed <= n_probes as u64, "cannot resume more than exists");
         for p in resumed as usize..n_probes {
             writer
-                .append_probe(&record_for(&col, p), &[(Duration::ZERO, Duration::ZERO); 2])
+                .append_probe(&record_for(&col, p))
                 .expect("append");
         }
         writer.finish().expect("finish");

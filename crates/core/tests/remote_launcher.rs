@@ -429,14 +429,13 @@ fn a_two_daemon_pass_assembles_the_bit_identical_corpus() {
     // Success implies every shard also passed `for_plan`'s verify — the
     // local decode *and* the cross-check against the daemon-reported
     // FNV-1a checksum.
-    let (mut merged, _status) = load_or_assemble(&plan.full_path(), plan.kind, plan.fingerprint)
+    let (merged, _status) = load_or_assemble(&plan.full_path(), plan.kind, plan.fingerprint)
         .expect("assembly")
         .expect("complete shard set");
-    let mut full = full_collection().clone();
-    merged.zero_timings();
-    full.zero_timings();
     assert!(
-        encode_collection(&merged, plan.fingerprint) == encode_collection(&full, plan.fingerprint),
+        merged == *full_collection()
+            && std::fs::read(plan.full_path()).expect("assembled file")
+                == encode_collection(full_collection(), plan.fingerprint),
         "a distributed pass must be bit-identical to the single-process one"
     );
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,7 +1,7 @@
 //! Shard determinism: any shard partition of the (probe × unit) grid,
 //! merged in any order, reassembles the single-process collection
-//! bit-identically (wall-clock timings aside, which sum over shards), and
-//! overlapping or missing shard sets are rejected with precise errors.
+//! bit-identically, and overlapping or missing shard sets are rejected
+//! with precise errors.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -115,16 +115,14 @@ proptest! {
         let mut parts = shard_parts(count);
         shuffle(&mut parts, order_seed);
 
-        let (mut merged, header) = merge_collections(parts).expect("complete partition merges");
+        let (merged, header) = merge_collections(parts).expect("complete partition merges");
         prop_assert!(header.manifest.is_full());
 
-        let mut full = full_collection().clone();
-        merged.zero_timings();
-        full.zero_timings();
         // Bit-identical: the canonical encodings must match byte for byte.
         let fingerprint = config_fingerprint(&tiny_config());
         prop_assert!(
-            encode_collection(&merged, fingerprint) == encode_collection(&full, fingerprint),
+            encode_collection(&merged, fingerprint)
+                == encode_collection(full_collection(), fingerprint),
             "merge of {count} shards (order seed {order_seed}) diverged from the full pass"
         );
     }

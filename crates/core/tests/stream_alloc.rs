@@ -1,4 +1,4 @@
-//! Peak-allocation proof that the v3 streaming reader is O(chunk), not
+//! Peak-allocation proof that the streaming reader is O(chunk), not
 //! O(corpus): decoding one probe through [`ProbeReader`] must allocate a
 //! small fraction of what a full [`load_collection`] decode allocates.
 //!
@@ -8,7 +8,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 use perfbug_core::bugs::BugCatalog;
 use perfbug_core::experiment::{Collection, EngineResult, ProbeMeta, RunKey};
@@ -112,8 +111,6 @@ fn big_collection() -> Collection {
         engines: vec![EngineResult {
             name: "GBT-0".into(),
             deltas: (0..n_probes).map(|p| vec![p as f64; keys.len()]).collect(),
-            train_time: Duration::ZERO,
-            infer_time: Duration::ZERO,
         }],
         keys,
         probes,

@@ -1,7 +1,6 @@
 //! The trace-cache equivalence harness: a warm collection pass replays
 //! every trace from the `.pbtr` store — zero regenerations — and yields
-//! a corpus byte-identical (after timing zeroing) to the cold pass, on
-//! both simulator sides.
+//! a corpus byte-identical to the cold pass, on both simulator sides.
 //!
 //! One test (not several) on purpose: the assertions sample the
 //! process-global `exec::traces_regenerated()` counter, and a sibling
@@ -58,20 +57,18 @@ fn warm_passes_regenerate_nothing_and_replay_byte_identical_corpora() {
     // Memory side: cold builds the store, warm replays it.
     let mem_config = tiny_mem_config();
     let before = exec::traces_regenerated();
-    let mut cold = collect(&mem_config);
+    let cold = collect(&mem_config);
     assert!(
         exec::traces_regenerated() > before,
         "the cold pass must generate traces"
     );
     let before = exec::traces_regenerated();
-    let mut warm = collect(&mem_config);
+    let warm = collect(&mem_config);
     assert_eq!(
         exec::traces_regenerated() - before,
         0,
         "a warm memory pass must regenerate no traces"
     );
-    cold.zero_timings();
-    warm.zero_timings();
     assert_eq!(warm, cold, "warm memory corpus diverged from cold");
 
     // Byte identity through the persistence codec, not just `Eq`.
@@ -88,20 +85,18 @@ fn warm_passes_regenerate_nothing_and_replay_byte_identical_corpora() {
     // Core (uarch) side: same contract through `experiment::collect`.
     let core_config = tiny_core_config();
     let before = exec::traces_regenerated();
-    let mut cold = collect(&core_config);
+    let cold = collect(&core_config);
     assert!(
         exec::traces_regenerated() > before,
         "the cold core pass must generate traces"
     );
     let before = exec::traces_regenerated();
-    let mut warm = collect(&core_config);
+    let warm = collect(&core_config);
     assert_eq!(
         exec::traces_regenerated() - before,
         0,
         "a warm core pass must regenerate no traces"
     );
-    cold.zero_timings();
-    warm.zero_timings();
     assert_eq!(warm, cold, "warm core corpus diverged from cold");
     let fp = config_fingerprint(&core_config);
     let (a, b) = (dir.join("cold-core.pbcol"), dir.join("warm-core.pbcol"));

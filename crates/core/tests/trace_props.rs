@@ -233,21 +233,18 @@ fn warm_collections_are_bit_identical_under_any_partition() {
 
     // Cold baseline: no trace store at all.
     std::env::remove_var(TRACE_DIR_ENV);
-    let mut baseline = collect(&config);
-    baseline.zero_timings();
+    let baseline = collect(&config);
 
     std::env::set_var(TRACE_DIR_ENV, &dir);
 
     // Warm, same partition.
-    let mut warm = collect(&config);
-    warm.zero_timings();
+    let warm = collect(&config);
     assert_eq!(warm, baseline, "warm full pass diverged");
 
     // Warm, different worker count.
     let mut serial = config.clone();
     serial.threads = 1;
-    let mut warm_serial = collect(&serial);
-    warm_serial.zero_timings();
+    let warm_serial = collect(&serial);
     assert_eq!(warm_serial, baseline, "warm single-threaded pass diverged");
 
     // Warm, any shard partition: the concatenated shard collections
@@ -255,8 +252,7 @@ fn warm_collections_are_bit_identical_under_any_partition() {
     for count in [2usize, 3] {
         let mut merged: Option<perfbug_core::Collection> = None;
         for index in 0..count {
-            let (mut shard, total) = collect_sharded(&config, ShardSpec { index, count });
-            shard.zero_timings();
+            let (shard, total) = collect_sharded(&config, ShardSpec { index, count });
             assert_eq!(total, baseline.probes.len());
             match merged.as_mut() {
                 None => merged = Some(shard),

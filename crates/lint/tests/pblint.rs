@@ -211,8 +211,8 @@ fn format_spec_detects_doc_drift() {
 #[test]
 fn format_spec_detects_code_drift() {
     let code = real_code().replace(
-        "pub const FORMAT_VERSION: u32 = 3;",
         "pub const FORMAT_VERSION: u32 = 4;",
+        "pub const FORMAT_VERSION: u32 = 5;",
     );
     assert_ne!(code, real_code(), "mutation must apply");
     let findings = spec::check_format_spec(&real_doc(), &code);

@@ -809,24 +809,26 @@ impl Regressor for Gbt {
         let mut pred = vec![self.base_score; train.len()];
         let mut rng = rand::rngs::StdRng::seed_from_u64(self.params.seed);
         let all_rows: Vec<usize> = (0..train.len()).collect();
+        // Squared loss: grad = pred - y, refilled each round; hess = 1.
+        let mut grad = vec![0.0; train.len()];
+        let hess = vec![1.0; train.len()];
         for _ in 0..self.params.n_trees {
-            // Squared loss: grad = pred - y, hess = 1.
-            let grad: Vec<f64> = pred.iter().zip(train.y()).map(|(p, y)| p - y).collect();
-            let hess = vec![1.0; train.len()];
-            let rows: Vec<usize> = if self.params.subsample < 1.0 {
+            for ((g, p), y) in grad.iter_mut().zip(&pred).zip(train.y()) {
+                *g = p - y;
+            }
+            let sampled = (self.params.subsample < 1.0).then(|| {
                 let k = ((train.len() as f64) * self.params.subsample).max(1.0) as usize;
                 let mut shuffled = all_rows.clone();
                 shuffled.shuffle(&mut rng);
                 shuffled.truncate(k);
                 shuffled
-            } else {
-                all_rows.clone()
-            };
+            });
+            let rows = sampled.as_deref().unwrap_or(&all_rows);
             forest.start_tree();
             match &binned {
-                Some(b) => self.grow_tree_hist(&mut forest, b, &rows, &grad, &hess, threads),
+                Some(b) => self.grow_tree_hist(&mut forest, b, rows, &grad, &hess, threads),
                 None => {
-                    self.grow(&mut forest, train, rows, &grad, &hess, 0);
+                    self.grow(&mut forest, train, rows.to_vec(), &grad, &hess, 0);
                 }
             }
             let tree = *forest.trees.last().expect("start_tree opened it");

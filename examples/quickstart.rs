@@ -10,6 +10,7 @@
 //! ```
 
 use perfbug_core::bugs::BugCatalog;
+use perfbug_core::exec::stage1_times;
 use perfbug_core::experiment::{collect, evaluate_two_stage, CollectionConfig, ProbeScale};
 use perfbug_core::stage1::EngineSpec;
 use perfbug_core::stage2::Stage2Params;
@@ -31,12 +32,15 @@ fn main() {
         config.catalog.len()
     );
     let collection = collect(&config);
+    let engine = &collection.engines[0].name;
     println!(
-        "collected {} probes x {} runs; stage-1 engine {} trained in {:?}",
+        "collected {} probes x {} runs; stage-1 engine {engine} trained in {:?}",
         collection.probes.len(),
         collection.keys.len(),
-        collection.engines[0].name,
-        collection.engines[0].train_time,
+        stage1_times()
+            .get(engine)
+            .map(|t| t.train)
+            .unwrap_or_default(),
     );
 
     let eval = evaluate_two_stage(&collection, 0, Stage2Params::default());

@@ -110,8 +110,7 @@ fn main() {
 
     // Sharded leg: collect the same corpus as two shard processes would,
     // then assemble the full collection from the shard files alone. The
-    // assembly must be identical to the single-process run, wall-clock
-    // timings aside.
+    // assembled file must be byte-identical to the single-process one.
     println!("sharded pass: collecting 2 shards and assembling ...");
     let shards = 2;
     for index in 0..shards {
@@ -132,6 +131,7 @@ fn main() {
             shard_path.display()
         );
     }
+    let cold_bytes = std::fs::read(&path).expect("single-process corpus bytes");
     let _ = std::fs::remove_file(&path); // force assembly, not replay
     let assembled = match load_or_assemble(&path, ExperimentKind::Core, fingerprint) {
         Ok(Some((col, CacheStatus::Assembled))) => col,
@@ -140,10 +140,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let (mut assembled_cmp, mut cold_cmp) = (assembled, cold.clone());
-    assembled_cmp.zero_timings();
-    cold_cmp.zero_timings();
-    if assembled_cmp != cold_cmp {
+    if assembled != cold || std::fs::read(&path).expect("assembled bytes") != cold_bytes {
         eprintln!("REPLAY GUARD FAILED: assembled corpus differs from the single-process one");
         std::process::exit(1);
     }
@@ -167,8 +164,8 @@ fn main() {
     // Crash-recovery leg: tear shard 0's finished file into a part file
     // whose last chunk is cut mid-write (what a killed worker leaves
     // behind), then resume. The retry must salvage every intact chunk,
-    // re-collect only the torn probe, and finish bit-identical (timings
-    // aside) to the uninterrupted shard.
+    // re-collect only the torn probe, and finish byte-identical to the
+    // uninterrupted shard.
     println!("recovery pass: tearing shard 0 mid-chunk and resuming ...");
     let shard0 = ShardSpec::new(0, shards);
     let shard0_path = dir.join(shard_file_name(
@@ -199,18 +196,16 @@ fn main() {
         );
         std::process::exit(1);
     }
-    let (mut resumed_cmp, mut intact_cmp) = (outcome.collection, intact);
-    resumed_cmp.zero_timings();
-    intact_cmp.zero_timings();
-    if resumed_cmp != intact_cmp {
+    let resumed_bytes = std::fs::read(&shard0_path).expect("resumed shard 0 bytes");
+    if outcome.collection != intact || resumed_bytes != bytes {
         eprintln!("REPLAY GUARD FAILED: resumed shard differs from the uninterrupted one");
         std::process::exit(1);
     }
     println!(
         "  resumed {} of {} probes from the torn part ({} simulations re-run), \
-         finished shard is bit-identical",
+         finished shard is byte-identical",
         expect_resumed,
-        resumed_cmp.probes.len(),
+        intact.probes.len(),
         resumed_sims
     );
 

@@ -5,8 +5,7 @@
 //! store, the warm pass replays the cached traces. This example is also
 //! the CI trace-cache guard: it exits non-zero if the warm pass
 //! regenerated any trace, if the warm corpus is not byte-identical to
-//! the cold one (after timing zeroing), or if the store's files fail
-//! full verification. With an explicit directory argument the trace
+//! the cold one, or if the store's files fail full verification. With an explicit directory argument the trace
 //! files are kept, so CI can run `pbcol verify` over them afterwards.
 //!
 //! ```sh
@@ -57,7 +56,7 @@ fn main() {
     );
     let regens_before = exec::traces_regenerated();
     let t0 = Instant::now();
-    let mut cold = collect(&config);
+    let cold = collect(&config);
     let cold_time = t0.elapsed();
     let cold_regens = exec::traces_regenerated() - regens_before;
     println!(
@@ -74,7 +73,7 @@ fn main() {
     // counter must not move.
     let regens_before = exec::traces_regenerated();
     let t1 = Instant::now();
-    let mut warm = collect(&config);
+    let warm = collect(&config);
     let warm_time = t1.elapsed();
     let regenerated = exec::traces_regenerated() - regens_before;
     println!("  warm pass in {warm_time:.2?} (cold pass took {cold_time:.2?})");
@@ -83,10 +82,8 @@ fn main() {
         std::process::exit(1);
     }
 
-    // The warm corpus must be byte-identical after timing zeroing —
-    // through the persistence codec, not just `Eq`.
-    cold.zero_timings();
-    warm.zero_timings();
+    // The warm corpus must be byte-identical to the cold one — through
+    // the persistence codec, not just `Eq`.
     if warm != cold {
         eprintln!("TRACE GUARD FAILED: warm corpus differs from the cold one");
         std::process::exit(1);
